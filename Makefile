@@ -6,7 +6,7 @@ BENCHTIME ?= 0.2s
 BENCHCOUNT ?= 5
 PR ?= 10
 
-.PHONY: check build vet lint lint-sarif lint-test test race bench bench-scale bench-serve benchquick tracecheck triagecheck servecheck
+.PHONY: check build vet lint lint-sarif lint-test test race bench bench-scale bench-serve benchquick tracecheck triagecheck servecheck batchcheck
 
 # check is the repository's quality gate (DESIGN.md §7): compile, vet, the
 # cblint invariant linter in baseline and SARIF modes plus its own test
@@ -15,8 +15,9 @@ PR ?= 10
 # workers-1-vs-8 determinism tests and the concurrent-census test), one pass
 # of the pipeline-throughput benchmarks (serial + worker pool), the trace
 # golden check (DESIGN.md §10), the triage-index golden gate (DESIGN.md
-# §14), and the ingest replay-determinism gate (DESIGN.md §15).
-check: build vet lint lint-sarif lint-test test race benchquick tracecheck triagecheck servecheck
+# §14), the ingest replay-determinism gate (DESIGN.md §15), and the batch
+# stdout golden gate.
+check: build vet lint lint-sarif lint-test test race benchquick tracecheck triagecheck servecheck batchcheck
 
 build:
 	$(GO) build ./...
@@ -112,6 +113,25 @@ servecheck:
 	diff -u $$tmp/counters1.txt $$tmp/counters8.txt && \
 	grep -q '"cache_hits":27' $$tmp/counters1.txt && \
 	rm -rf $$tmp && echo "servecheck: replay streams byte-identical at workers 1 and 8 (27 cache hits)"
+
+# batchcheck pins the batch tools' stdout (DESIGN.md §15): the
+# fault-injected crawlerbox summary lines at workers 1 and 4, crawlerbox -dir
+# over mkdataset output, and the cmd/report render text at workers 1 and 4
+# all diff against committed goldens (testdata/batchcheck.*). The report's
+# progress line names the worker count, so it is stripped before the diff.
+batchcheck:
+	@tmp=$$(mktemp -d) && \
+	$(GO) build -o $$tmp/ ./cmd/crawlerbox ./cmd/mkdataset ./cmd/report && \
+	$$tmp/mkdataset -out $$tmp/eml > /dev/null && \
+	for w in 1 4; do \
+		$$tmp/crawlerbox -n 64 -faults 0.1 -workers $$w > $$tmp/corpus.txt && \
+		diff -u testdata/batchcheck.corpus.golden.txt $$tmp/corpus.txt && \
+		$$tmp/report -scale 0.1 -faults 0.1 -workers $$w | sed '/^Analyzing [0-9]* messages/d' > $$tmp/report.txt && \
+		diff -u testdata/batchcheck.report.golden.txt $$tmp/report.txt || exit 1; \
+	done && \
+	$$tmp/crawlerbox -dir $$tmp/eml -n 64 -workers 4 > $$tmp/dir.txt && \
+	diff -u testdata/batchcheck.dir.golden.txt $$tmp/dir.txt && \
+	rm -rf $$tmp && echo "batchcheck: crawlerbox and report stdout match goldens at workers 1 and 4"
 
 # bench-serve runs the continuous-ingest benchmarks (replay throughput over
 # the canned corpus log, verdict-cache hit path) and folds the results into

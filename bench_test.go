@@ -13,7 +13,7 @@ import (
 	"crawlerbox/internal/crawler"
 	"crawlerbox/internal/crawlerbox"
 	"crawlerbox/internal/dataset"
-	"crawlerbox/internal/evstore"
+	"crawlerbox/internal/ingest"
 	"crawlerbox/internal/imaging"
 	"crawlerbox/internal/mime"
 	"crawlerbox/internal/phishkit"
@@ -197,7 +197,8 @@ func BenchmarkPipelineThroughput(b *testing.B) {
 }
 
 // BenchmarkPipelineThroughputParallel measures corpus-batch analysis through
-// AnalyzeCorpus at workers=1 (the serial baseline) and workers=8. The
+// an ingest.Service in batch mode (no journal, no keyer) at workers=1 (the
+// serial baseline) and workers=8. The
 // sub-benchmarks analyze the same 128-message slice of a tenth-scale corpus;
 // their msgs/s delta is the worker pool's speedup (recorded in
 // EXPERIMENTS.md — on a single-CPU host the delta measures pool overhead
@@ -217,16 +218,25 @@ func BenchmarkPipelineThroughputParallel(b *testing.B) {
 	if len(msgs) > 128 {
 		msgs = msgs[:128]
 	}
-	specs := make([]crawlerbox.MessageSpec, len(msgs))
+	specs := make([]ingest.Spec, len(msgs))
 	for i, m := range msgs {
-		specs[i] = crawlerbox.MessageSpec{Raw: m.Raw, ID: int64(i + 1), At: m.Delivered.Add(2 * time.Hour)}
+		specs[i] = ingest.Spec{Raw: m.Raw, ID: int64(i + 1), At: m.Delivered.Add(2 * time.Hour)}
 	}
 	for _, workers := range []int{1, 8} {
 		b.Run(fmt.Sprintf("workers-%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				for _, res := range pipe.AnalyzeCorpus(context.Background(), specs, workers) {
-					if res.Err != nil {
-						b.Fatal(res.Err)
+				svc := ingest.NewService(pipe, nil, nil, ingest.WithWorkers(workers))
+				svc.Start(context.Background())
+				if err := svc.SubmitBatch(context.Background(), specs); err != nil {
+					b.Fatal(err)
+				}
+				res, err := svc.Drain()
+				if err != nil {
+					b.Fatal(err)
+				}
+				for _, e := range res.Emitted {
+					if e.Verdict.Outcome == tracestore.OutcomeFailed {
+						b.Fatalf("message %d: %s", e.ID, e.Verdict.Err)
 					}
 				}
 			}
@@ -386,13 +396,9 @@ func BenchmarkTraceStoreBuild(b *testing.B) {
 			b.Fatal(err)
 		}
 		path := filepath.Join(dir, fmt.Sprintf("seg-%d.tstore", i))
-		w, err := tracestore.Create(path)
-		if err != nil {
-			b.Fatal(err)
-		}
 		b.StartTimer()
 		run, err := report.Analyze(context.Background(), c,
-			report.WithWorkers(4), report.WithTraceStore(w))
+			report.WithWorkers(4), report.WithTraceStorePath(path))
 		b.StopTimer()
 		if err != nil {
 			b.Fatal(err)
@@ -424,12 +430,8 @@ func BenchmarkTraceStoreQuery(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	w, err := tracestore.Create(path)
-	if err != nil {
-		b.Fatal(err)
-	}
 	if _, err := report.Analyze(context.Background(), c,
-		report.WithWorkers(4), report.WithTraceStore(w)); err != nil {
+		report.WithWorkers(4), report.WithTraceStorePath(path)); err != nil {
 		b.Fatal(err)
 	}
 	st, err := tracestore.Open(path)
@@ -491,10 +493,7 @@ func BenchmarkAnalyzeThroughputAtN(b *testing.B) {
 					if err != nil {
 						b.Fatal(err)
 					}
-					store, err := evstore.Create(filepath.Join(dir, fmt.Sprintf("ev-%d.cbes", i)))
-					if err != nil {
-						b.Fatal(err)
-					}
+					evPath := filepath.Join(dir, fmt.Sprintf("ev-%d.cbes", i))
 					// Baseline after generation: the corpus plan and the
 					// hosted world are setup cost, not analysis footprint.
 					// Two GCs settle the heap (the first cycle's floating
@@ -502,7 +501,7 @@ func BenchmarkAnalyzeThroughputAtN(b *testing.B) {
 					base := settledHeap()
 					b.StartTimer()
 					run, err := report.Analyze(context.Background(), c,
-						report.WithWorkers(workers), report.WithEvidenceStore(store))
+						report.WithWorkers(workers), report.WithEvidencePath(evPath))
 					b.StopTimer()
 					if err != nil {
 						b.Fatal(err)
@@ -511,9 +510,6 @@ func BenchmarkAnalyzeThroughputAtN(b *testing.B) {
 						b.Fatalf("%d analysis errors", run.Errors)
 					}
 					live := settledHeap()
-					if cerr := store.Close(); cerr != nil {
-						b.Fatal(cerr)
-					}
 					analyzed += c.Len()
 					if d := float64(live-base) / (1 << 20); live > base && d > peakMB {
 						peakMB = d

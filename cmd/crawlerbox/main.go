@@ -37,6 +37,8 @@ import (
 	"crawlerbox/internal/climain"
 	"crawlerbox/internal/crawlerbox"
 	"crawlerbox/internal/dataset"
+	"crawlerbox/internal/evstore"
+	"crawlerbox/internal/ingest"
 	"crawlerbox/internal/obs"
 	"crawlerbox/internal/phishkit"
 	"crawlerbox/internal/tracestore"
@@ -66,11 +68,11 @@ func run() error {
 	}
 	pipe := crawlerbox.New(corpus.Net, corpus.Registry)
 	observer := shared.Observer()
-	tstore, err := shared.TraceStoreWriter()
-	if err != nil {
-		return err
-	}
-	if tstore != nil {
+	var tstore *tracestore.Writer
+	if *shared.TraceStore != "" {
+		if tstore, err = tracestore.Create(*shared.TraceStore); err != nil {
+			return err
+		}
 		defer tstore.Close()
 		if observer == nil {
 			// The triage index persists span trees and metrics, so it
@@ -83,11 +85,11 @@ func run() error {
 		corpus.Net.Metrics = observer.Metrics
 	}
 	pipe.Resilience = shared.Policy()
-	store, err := shared.EvidenceStore()
-	if err != nil {
-		return err
-	}
-	if store != nil {
+	var store *evstore.Store
+	if *shared.Evidence != "" {
+		if store, err = evstore.Create(*shared.Evidence); err != nil {
+			return err
+		}
 		defer store.Close()
 		corpus.Net.SpillTrafficTo(store)
 	}
@@ -98,73 +100,80 @@ func run() error {
 	}
 	corpus.Net.Clock.Set(time.Date(2024, 11, 1, 0, 0, 0, 0, time.UTC))
 
+	// names labels each message's summary line, in message order.
+	var names []string
 	if *dir != "" {
 		entries, err := os.ReadDir(*dir)
 		if err != nil {
 			return err
 		}
-		var files []string
 		for _, e := range entries {
 			if strings.HasSuffix(e.Name(), ".eml") {
-				files = append(files, e.Name())
+				names = append(names, e.Name())
 			}
 		}
-		sort.Strings(files)
-		if *limit > 0 && len(files) > *limit {
-			files = files[:*limit]
+		sort.Strings(names)
+		if *limit > 0 && len(names) > *limit {
+			names = names[:*limit]
 		}
-		specs := make([]crawlerbox.MessageSpec, len(files))
-		for i, f := range files {
-			raw, err := os.ReadFile(filepath.Join(*dir, f))
-			if err != nil {
-				return err
-			}
-			specs[i] = crawlerbox.MessageSpec{Raw: raw, ID: int64(i + 1)}
+	} else {
+		count := corpus.Len()
+		if *limit > 0 && *limit < count {
+			count = *limit
 		}
-		for i, res := range pipe.AnalyzeCorpus(context.Background(), specs, *shared.Workers) {
-			// The summary line never reads Visits, so spilling first is safe
-			// (verdict facts survive the spill).
-			if err := crawlerbox.SpillEvidence(store, res.Analysis); err != nil {
-				return err
-			}
-			tstore.Add(tracestore.VerdictOf(int64(i+1), res.Analysis, res.Err))
-			fmt.Println(resultLine(files[i], res))
+		names = make([]string, count)
+		for i := range names {
+			names[i] = fmt.Sprintf("corpus-%05d", i)
 		}
-		if err := finalizeTraceStore(tstore, observer); err != nil {
-			return err
-		}
-		return shared.WriteExports(observer)
 	}
 
-	// Corpus mode streams: specs render one message at a time through
-	// Corpus.Each and flow into the bounded worker pool; only the one-line
-	// summaries are buffered (to restore message order), never the corpus.
-	count := corpus.Len()
-	if *limit > 0 && *limit < count {
-		count = *limit
-	}
-	specs := make(chan crawlerbox.IndexedSpec, *shared.Workers)
-	go func() {
-		defer close(specs)
-		corpus.Each(func(i int, m *dataset.Message) bool {
-			if i >= count {
-				return false
-			}
-			specs <- crawlerbox.IndexedSpec{Index: i, Spec: crawlerbox.MessageSpec{Raw: m.Raw, ID: int64(i + 1)}}
-			return true
-		})
-	}()
-	lines := make([]string, count)
+	// Batch mode of the ingest service: no journal, no cache key, and a
+	// sink that consumes each verdict as its worker completes it. Only the
+	// one-line summaries are buffered (to restore message order), never
+	// the messages.
+	lines := make([]string, len(names))
 	spillErrs := make([]error, max(*shared.Workers, 1))
-	pipe.AnalyzeStream(context.Background(), specs, *shared.Workers, func(w int, res crawlerbox.CorpusResult) {
-		// The summary line never reads Visits, so spilling first is safe
-		// (verdict facts survive the spill).
-		if err := crawlerbox.SpillEvidence(store, res.Analysis); err != nil && spillErrs[w] == nil {
-			spillErrs[w] = err
+	svc := ingest.NewService(pipe, nil, nil, ingest.WithWorkers(*shared.Workers),
+		ingest.WithSink(func(w int, e ingest.Emitted, ma *crawlerbox.MessageAnalysis) {
+			i := int(e.ID - 1)
+			tstore.Add(e.Verdict)
+			// The summary line never reads Visits, so spilling first is
+			// safe (verdict facts survive the spill).
+			if err := crawlerbox.SpillEvidence(store, ma); err != nil && spillErrs[w] == nil {
+				spillErrs[w] = err
+			}
+			lines[i] = resultLine(names[i], e, ma)
+		}))
+	svc.Start(context.Background())
+	var submitErr error
+	submit := func(i int, raw []byte) bool {
+		submitErr = svc.Submit(context.Background(), ingest.Spec{ID: int64(i + 1), Raw: raw})
+		return submitErr == nil
+	}
+	if *dir != "" {
+		for i, name := range names {
+			raw, err := os.ReadFile(filepath.Join(*dir, name))
+			if err != nil {
+				submitErr = err
+				break
+			}
+			if !submit(i, raw) {
+				break
+			}
 		}
-		tstore.Add(tracestore.VerdictOf(int64(res.Index+1), res.Analysis, res.Err))
-		lines[res.Index] = resultLine(fmt.Sprintf("corpus-%05d", res.Index), res)
-	})
+	} else {
+		// Corpus mode streams: messages render one at a time through
+		// Corpus.Each, so the corpus never sits in RAM.
+		corpus.Each(func(i int, m *dataset.Message) bool {
+			return i < len(names) && submit(i, m.Raw)
+		})
+	}
+	if _, err := svc.Drain(); err != nil {
+		return err
+	}
+	if submitErr != nil {
+		return submitErr
+	}
 	for _, err := range spillErrs {
 		if err != nil {
 			return err
@@ -173,27 +182,22 @@ func run() error {
 	for _, line := range lines {
 		fmt.Println(line)
 	}
-	if err := finalizeTraceStore(tstore, observer); err != nil {
-		return err
+	if tstore != nil {
+		// Span trees and metrics from the observer join the buffered
+		// verdict rows in one canonical segment.
+		if err := tstore.Finalize(observer.Traces(), observer.Metrics.Snapshot()); err != nil {
+			return err
+		}
 	}
 	return shared.WriteExports(observer)
 }
 
-// finalizeTraceStore flushes the triage index: span trees and metrics from
-// the observer join the buffered verdict rows in one canonical segment.
-func finalizeTraceStore(tstore *tracestore.Writer, observer *obs.Observer) error {
-	if tstore == nil {
-		return nil
+// resultLine formats one emission as the tool's summary line; ma is nil
+// when the analysis failed.
+func resultLine(name string, e ingest.Emitted, ma *crawlerbox.MessageAnalysis) string {
+	if ma == nil {
+		return fmt.Sprintf("%-16s ERROR %s", name, e.Verdict.Err)
 	}
-	return tstore.Finalize(observer.Traces(), observer.Metrics.Snapshot())
-}
-
-// resultLine formats one analysis result as the tool's summary line.
-func resultLine(name string, res crawlerbox.CorpusResult) string {
-	if res.Err != nil {
-		return fmt.Sprintf("%-16s ERROR %v", name, res.Err)
-	}
-	ma := res.Analysis
 	line := fmt.Sprintf("%-16s %-20s urls=%d", name, ma.Outcome, len(ma.Parse.URLs))
 	if ma.Outcome == crawlerbox.OutcomeError {
 		line += " err=" + ma.ErrorKind.String()

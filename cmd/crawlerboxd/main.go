@@ -22,7 +22,7 @@
 // verdict stream — byte-identical for any -workers value, and identical
 // across a kill and resume. -serve exposes the ingest API over HTTP:
 //
-//	POST /api/submit      — submit one spec {"id":N,"at":RFC3339,"raw":BASE64}
+//	POST /api/submit      — submit one spec {"id":N,"at":RFC3339,"raw":BASE64} (body ≤ 1 MiB)
 //	GET  /api/stats       — counters + pending depth (JSON)
 //	GET  /api/verdict?id=N — the emitted verdict for one message (JSON)
 package main
@@ -65,7 +65,6 @@ func run(args []string, w io.Writer) error {
 	out := fs.String("out", "", "replay mode: write the canonical verdict stream to FILE (default stdout)")
 	serve := fs.String("serve", "", "serve the ingest API over HTTP on this address (e.g. :8080)")
 	logPath := fs.String("log", "", "serve mode: journal accepted specs and emitted verdicts to FILE (resumes if it exists)")
-	queueDepth := fs.Int("queue-depth", 2, "per-worker shard queue depth (full queues block submission)")
 	maxPending := fs.Int("max-pending", 0, "serve mode: shed submissions with 503 when this many are in flight (0 = never shed)")
 	cache := fs.Bool("cache", true, "dedup verdicts through the sharded cache (verdict outcomes are identical either way)")
 	shared := climain.Register(fs)
@@ -77,9 +76,9 @@ func run(args []string, w io.Writer) error {
 	case *record != "":
 		return recordLog(*record, *seed, *scale, *limit, w)
 	case *replay != "":
-		return replayLog(*replay, *out, *seed, *scale, *queueDepth, *cache, shared, w)
+		return replayLog(*replay, *out, *seed, *scale, *cache, shared, w)
 	case *serve != "":
-		return serveIngest(*serve, *logPath, *seed, *scale, *queueDepth, *maxPending, *cache, shared, w)
+		return serveIngest(*serve, *logPath, *seed, *scale, *maxPending, *cache, shared, w)
 	}
 	return errors.New("one of -record, -replay, or -serve is required")
 }
@@ -152,7 +151,7 @@ func recordLog(path string, seed int64, scale float64, limit int, w io.Writer) e
 // replayLog runs an ingest log to completion against a fresh world: the
 // batch mode of the service API. The verdict stream and the printed
 // counters are byte-identical for any worker count.
-func replayLog(path, out string, seed int64, scale float64, queueDepth int, cache bool,
+func replayLog(path, out string, seed int64, scale float64, cache bool,
 	shared *climain.Flags, w io.Writer) error {
 	c, pipe, err := buildWorld(seed, scale, shared)
 	if err != nil {
@@ -166,7 +165,6 @@ func replayLog(path, out string, seed int64, scale float64, queueDepth int, cach
 	}
 	res, err := ingest.Replay(context.Background(), path, pipe, ingest.PipelineKeyer(pipe),
 		ingest.WithWorkers(*shared.Workers),
-		ingest.WithQueueDepth(queueDepth),
 		ingest.WithCache(cache))
 	if err != nil {
 		return err
@@ -200,7 +198,7 @@ func printCounters(w io.Writer, c ingest.Counters) {
 
 // serveIngest runs the HTTP daemon: recover the journal (if any), serve
 // the ingest API until SIGINT/SIGTERM, then drain and report.
-func serveIngest(addr, logPath string, seed int64, scale float64, queueDepth, maxPending int,
+func serveIngest(addr, logPath string, seed int64, scale float64, maxPending int,
 	cache bool, shared *climain.Flags, w io.Writer) error {
 	if logPath == "" {
 		return errors.New("-serve requires -log FILE (the ingest journal)")
@@ -231,7 +229,6 @@ func serveIngest(addr, logPath string, seed int64, scale float64, queueDepth, ma
 
 	svc := ingest.NewService(pipe, ingest.PipelineKeyer(pipe), log,
 		ingest.WithWorkers(*shared.Workers),
-		ingest.WithQueueDepth(queueDepth),
 		ingest.WithMaxPending(maxPending),
 		ingest.WithCache(cache))
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
@@ -265,6 +262,12 @@ func serveIngest(addr, logPath string, seed int64, scale float64, queueDepth, ma
 	return nil
 }
 
+// maxSubmitBytes caps an /api/submit request body. The largest
+// paper-scale message is about 112 KB raw, about 150 KB as base64 JSON, so
+// 1 MiB admits every real report with room to spare while a hostile body
+// cannot make the daemon buffer without bound.
+const maxSubmitBytes = 1 << 20
+
 // daemonMux builds the ingest API. Split from serveIngest so the endpoint
 // behavior is testable with httptest against a real service.
 func daemonMux(svc *ingest.Service) *http.ServeMux {
@@ -286,7 +289,12 @@ func daemonMux(svc *ingest.Service) *http.ServeMux {
 			return
 		}
 		var spec ingest.Spec
-		if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
+		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSubmitBytes)).Decode(&spec); err != nil {
+			if tooBig := new(http.MaxBytesError); errors.As(err, &tooBig) {
+				climain.HTTPError(w, http.StatusRequestEntityTooLarge,
+					fmt.Sprintf("spec exceeds %d bytes", maxSubmitBytes))
+				return
+			}
 			climain.HTTPError(w, http.StatusBadRequest, "bad spec: "+err.Error())
 			return
 		}

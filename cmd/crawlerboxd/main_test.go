@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"context"
+	"encoding/base64"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -76,14 +77,24 @@ func (a *releasableAnalyzer) Analyze(ctx context.Context, spec crawlerbox.Messag
 
 func (a *releasableAnalyzer) Release() { a.once.Do(func() { close(a.release) }) }
 
-// TestDaemonAPI drives every HTTP endpoint through httptest: accept,
-// dedup, overload shedding, verdict lookup before and after completion,
-// and the draining refusal.
+// corpusMaxRaw is the raw size of the largest paper-scale message across
+// seeds 42, 7 and 701; a submission that size must be accepted.
+const corpusMaxRaw = 112048
+
+// TestDaemonAPI drives every HTTP endpoint through httptest: accept
+// (including a corpus-size message), dedup, overload shedding, oversized
+// and malformed bodies, verdict lookup before and after completion, and
+// the draining refusal.
 func TestDaemonAPI(t *testing.T) {
 	ra := &releasableAnalyzer{release: make(chan struct{})}
 	keyer := func(raw []byte) string { return string(raw) }
-	svc := ingest.NewService(ra, keyer, nil,
-		ingest.WithWorkers(1), ingest.WithQueueDepth(1), ingest.WithMaxPending(2))
+	logPath := filepath.Join(t.TempDir(), "journal.log")
+	journal, err := ingest.CreateLog(logPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc := ingest.NewService(ra, keyer, journal,
+		ingest.WithWorkers(1), ingest.WithMaxPending(2))
 	svc.Start(context.Background())
 	ts := httptest.NewServer(daemonMux(svc))
 	defer ts.Close()
@@ -111,19 +122,27 @@ func TestDaemonAPI(t *testing.T) {
 	}
 	rawA := `"` + "YQ==" + `"` // base64 "a"
 	rawC := `"` + "Yw==" + `"` // base64 "c"
+	// base64 JSON strings of n raw bytes: corpus-size, and past the cap.
+	rawOfSize := func(n int) string {
+		return `"` + base64.StdEncoding.EncodeToString(bytes.Repeat([]byte("x"), n)) + `"`
+	}
+	rawBig, rawHuge := rawOfSize(corpusMaxRaw), rawOfSize(maxSubmitBytes)
 
-	if resp := submit(`{"id":1,"raw":` + rawA + `}`); resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("submit 1: status %d", resp.StatusCode)
+	if resp := submit(`{"id":1,"raw":` + rawBig + `}`); resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit 1 (corpus-size): status %d", resp.StatusCode)
 	}
 	// Same key: admitted as a waiter on the in-flight analysis.
-	if resp := submit(`{"id":2,"raw":` + rawA + `}`); resp.StatusCode != http.StatusAccepted {
+	if resp := submit(`{"id":2,"raw":` + rawBig + `}`); resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("submit 2: status %d", resp.StatusCode)
 	}
 	// Admission control: two pending is the limit.
 	if resp := submit(`{"id":3,"raw":` + rawC + `}`); resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("submit 3: status %d, want 503", resp.StatusCode)
 	}
-	// Malformed submissions.
+	// Oversized and malformed submissions.
+	if resp := submit(`{"id":5,"raw":` + rawHuge + `}`); resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized body: status %d, want 413", resp.StatusCode)
+	}
 	if resp := submit(`{not json`); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("bad json: status %d", resp.StatusCode)
 	}
@@ -158,6 +177,16 @@ func TestDaemonAPI(t *testing.T) {
 	ra.Release()
 	if _, err := svc.Drain(); err != nil {
 		t.Fatal(err)
+	}
+	// Only the two accepted specs were journaled: neither the shed nor the
+	// oversized submission reached the log.
+	state, err := ingest.ReadLog(logPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(state.Specs) != 2 || state.Specs[0].ID != 1 || state.Specs[1].ID != 2 ||
+		len(state.Specs[0].Raw) != corpusMaxRaw {
+		t.Fatalf("journaled %d specs, want ids 1 and 2 (%d raw bytes)", len(state.Specs), corpusMaxRaw)
 	}
 
 	if got := get("/api/verdict?id=1", http.StatusOK); !strings.Contains(got, `"provenance": "fresh"`) {

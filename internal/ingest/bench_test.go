@@ -25,7 +25,7 @@ func BenchmarkIngestThroughput(b *testing.B) {
 		_, pipe := buildWorld(b)
 		b.StartTimer()
 		res, err := Replay(context.Background(), logPath, pipe, PipelineKeyer(pipe),
-			WithWorkers(4), WithQueueDepth(4))
+			WithWorkers(4))
 		if err != nil {
 			b.Fatal(err)
 		}

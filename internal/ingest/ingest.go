@@ -2,7 +2,11 @@
 // service: reported message specs are submitted one at a time (or over
 // HTTP via cmd/crawlerboxd), journaled to an append-only ingest log,
 // admitted through a sharded verdict dedup cache keyed by canonical URL,
-// and fed to sharded work queues with backpressure and admission control.
+// and fed to one shared work queue with backpressure and admission
+// control. The service is also the batch runner: report.Analyze and
+// cmd/crawlerbox build one with no journal, no keyer (every message runs
+// fresh), and a per-worker sink (WithSink) that folds each analysis as it
+// completes instead of buffering a verdict per message.
 //
 // The cache is the scaling lever: the paper measures a mean of 2.62
 // reported messages per landing domain (max 58), so at production volume
@@ -25,7 +29,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"io"
 	"sort"
 	"sync"
@@ -50,7 +53,9 @@ type Analyzer interface {
 }
 
 // KeyFunc derives the verdict-cache key from raw message bytes. An empty
-// key marks the message uncacheable (no URL): it always runs fresh.
+// key marks the message uncacheable (no URL): it always runs fresh. A nil
+// KeyFunc makes every message keyless — the batch mode, which analyzes
+// every message and skips the admission-time parse.
 type KeyFunc func(raw []byte) string
 
 // PipelineKeyer derives the cache key with the pipeline's own parse phase:
@@ -142,24 +147,20 @@ func (r *Result) WriteVerdictStream(w io.Writer) error {
 // replays, and the daemon are configured in one vocabulary.
 type options struct {
 	workers    int
-	queueDepth int
 	maxPending int
 	cacheOff   bool
+	sink       Sink
 }
 
 // Option configures one aspect of a Service.
 type Option func(*options)
 
-// WithWorkers sets the analysis worker-pool size (default 1). One work
-// queue is created per worker; keyed submissions shard by key hash.
+// WithWorkers sets the analysis worker-pool size (default 1). All
+// workers pull from one shared queue holding 2 × workers jobs; a full
+// queue blocks Submit — the backpressure that keeps peak memory
+// O(workers).
 func WithWorkers(n int) Option {
 	return func(o *options) { o.workers = n }
-}
-
-// WithQueueDepth bounds each worker queue (default 2). A full queue
-// blocks Submit — the backpressure that keeps peak memory O(workers).
-func WithQueueDepth(n int) Option {
-	return func(o *options) { o.queueDepth = n }
 }
 
 // WithMaxPending arms admission control: when more than n submissions are
@@ -177,24 +178,43 @@ func WithCache(enabled bool) Option {
 	return func(o *options) { o.cacheOff = !enabled }
 }
 
-// job is one unit of fresh analysis work on a shard queue.
+// Sink receives each emission instead of the Result buffer (see
+// WithSink). worker is the index of the pool worker that emitted it, or -1
+// for an emission made at admission (a cache hit or a resumed verdict). ma
+// is the fresh analysis behind the verdict: nil for cached emissions and
+// for failed analyses (whose verdict outcome is tracestore.OutcomeFailed).
+type Sink func(worker int, e Emitted, ma *crawlerbox.MessageAnalysis)
+
+// WithSink streams every emission to sink instead of buffering it: Drain's
+// Result.Emitted stays empty and Emission reports false, so the service
+// holds no per-message state and a batch run's peak memory stays
+// O(workers). sink is called concurrently, but calls that share a worker
+// index are serialized — a sink that touches only per-worker state (a
+// census shard, say) needs no locking. Admission-time calls (worker -1)
+// run under the admission lock, so sink must not call back into the
+// service. Emissions still journal as usual.
+func WithSink(sink Sink) Option {
+	return func(o *options) { o.sink = sink }
+}
+
+// job is one unit of fresh analysis work on the shared queue.
 type job struct {
 	spec Spec
 	key  string
 }
 
-// Service is the continuous-ingest daemon core. Submissions flow through
-// admission (journal, admission control, cache consult) into per-worker
-// shard queues; workers run the pipeline and complete cache entries,
-// flushing any waiters. Drain stops intake, waits for in-flight work, and
-// returns the Result.
+// Service is the continuous-ingest daemon core and the repository's one
+// analysis runner. Submissions flow through admission (journal, admission
+// control, cache consult) into one shared queue; workers run the pipeline
+// and complete cache entries, flushing any waiters. Drain stops intake,
+// waits for in-flight work, and returns the Result.
 type Service struct {
 	analyzer Analyzer
 	keyer    KeyFunc
 	o        options
 	log      *Log
 	cache    *verdictCache
-	queues   []chan job
+	queue    chan job
 	wg       sync.WaitGroup
 	started  bool
 
@@ -213,51 +233,47 @@ type Service struct {
 // NewService assembles a service around an analyzer and a cache keyer.
 // A nil log runs without a journal (no checkpoint/resume); see WithLog.
 func NewService(a Analyzer, keyer KeyFunc, log *Log, opts ...Option) *Service {
-	o := options{workers: 1, queueDepth: 2}
+	o := options{workers: 1}
 	for _, fn := range opts {
 		fn(&o)
 	}
 	if o.workers < 1 {
 		o.workers = 1
 	}
-	if o.queueDepth < 1 {
-		o.queueDepth = 1
-	}
-	s := &Service{analyzer: a, keyer: keyer, o: o, log: log}
+	// Two queued jobs per worker keep every worker's next job ready while
+	// bounding how far admission runs ahead of the pool.
+	s := &Service{analyzer: a, keyer: keyer, o: o, log: log, queue: make(chan job, 2*o.workers)}
 	if !o.cacheOff {
 		s.cache = newVerdictCache()
-	}
-	s.queues = make([]chan job, o.workers)
-	for i := range s.queues {
-		s.queues[i] = make(chan job, o.queueDepth)
 	}
 	return s
 }
 
-// Start launches the worker pool. ctx cancels in-flight analyses; work
-// already admitted still emits (a failed-analysis verdict when cancelled).
+// Start launches the worker pool — the only code in the repository that
+// starts analysis workers. ctx cancels in-flight analyses; work already
+// admitted still emits (a failed-analysis verdict when cancelled).
 func (s *Service) Start(ctx context.Context) {
 	if s.started {
 		return
 	}
 	s.started = true
-	for i := range s.queues {
+	for w := 0; w < s.o.workers; w++ {
 		s.wg.Add(1)
-		go func(q <-chan job) {
+		go func(w int) {
 			defer s.wg.Done()
-			for j := range q {
+			for j := range s.queue {
 				ma, err := s.analyzer.Analyze(ctx, crawlerbox.MessageSpec{
 					Raw: j.spec.Raw, ID: j.spec.ID, At: j.spec.At,
 				})
-				s.complete(j, tracestore.VerdictOf(j.spec.ID, ma, err))
+				s.complete(w, j, ma, tracestore.VerdictOf(j.spec.ID, ma, err))
 			}
-		}(s.queues[i])
+		}(w)
 	}
 }
 
 // Submit admits one reported message: journal, admission control, cache
 // consult, then either an immediate cached emission or a queued fresh
-// analysis. Submissions are totally ordered; a full shard queue blocks
+// analysis. Submissions are totally ordered; a full queue blocks
 // (backpressure) until a worker frees a slot or ctx is cancelled.
 func (s *Service) Submit(ctx context.Context, spec Spec) error {
 	s.admitMu.Lock()
@@ -300,7 +316,10 @@ func (s *Service) submitLocked(ctx context.Context, spec Spec, resumed bool) err
 		}
 	}
 
-	key := s.keyer(spec.Raw)
+	var key string
+	if s.keyer != nil {
+		key = s.keyer(spec.Raw)
+	}
 	if key == "" || s.cache == nil {
 		s.mu.Lock()
 		if key == "" {
@@ -317,7 +336,7 @@ func (s *Service) submitLocked(ctx context.Context, spec Spec, resumed bool) err
 		s.mu.Lock()
 		s.counters.CacheHits++
 		s.mu.Unlock()
-		s.emit(cachedEmission(spec.ID, key, sourceID, v), true)
+		s.emit(-1, cachedEmission(spec.ID, key, sourceID, v), nil, true)
 		return s.emitError()
 	case admitWait:
 		s.mu.Lock()
@@ -334,11 +353,10 @@ func (s *Service) submitLocked(ctx context.Context, spec Spec, resumed bool) err
 	}
 }
 
-// enqueue pushes a job onto its shard queue, blocking for backpressure.
+// enqueue pushes a job onto the shared queue, blocking for backpressure.
 func (s *Service) enqueue(ctx context.Context, j job) error {
-	q := s.queues[s.shardOf(j)]
 	select {
-	case q <- j:
+	case s.queue <- j:
 		return nil
 	case <-ctx.Done():
 		// The spec is journaled but never ran: it stays pending in the
@@ -350,26 +368,10 @@ func (s *Service) enqueue(ctx context.Context, j job) error {
 	}
 }
 
-// shardOf routes a job to a worker queue: keyed jobs by key hash (cache
-// affinity), keyless jobs by ID.
-func (s *Service) shardOf(j job) int {
-	h := fnv.New32a()
-	if j.key != "" {
-		_, _ = h.Write([]byte(j.key))
-	} else {
-		var b [8]byte
-		for i := 0; i < 8; i++ {
-			b[i] = byte(uint64(j.spec.ID) >> (8 * i))
-		}
-		_, _ = h.Write(b[:])
-	}
-	return int(h.Sum32() % uint32(len(s.queues)))
-}
-
-// complete records a fresh verdict, fills the cache entry, and flushes
-// any waiters as cached emissions.
-func (s *Service) complete(j job, v tracestore.Verdict) {
-	s.emit(Emitted{ID: j.spec.ID, Provenance: ProvenanceFresh, Key: j.key, Verdict: v}, true)
+// complete records worker w's fresh verdict, fills the cache entry, and
+// flushes any waiters as cached emissions.
+func (s *Service) complete(w int, j job, ma *crawlerbox.MessageAnalysis, v tracestore.Verdict) {
+	s.emit(w, Emitted{ID: j.spec.ID, Provenance: ProvenanceFresh, Key: j.key, Verdict: v}, ma, true)
 	s.mu.Lock()
 	s.pending--
 	s.mu.Unlock()
@@ -378,7 +380,7 @@ func (s *Service) complete(j job, v tracestore.Verdict) {
 	}
 	waiters, sourceID := s.cache.complete(j.key, v)
 	for _, id := range waiters {
-		s.emit(cachedEmission(id, j.key, sourceID, v), true)
+		s.emit(w, cachedEmission(id, j.key, sourceID, v), nil, true)
 		s.mu.Lock()
 		s.pending--
 		s.mu.Unlock()
@@ -392,14 +394,21 @@ func cachedEmission(id int64, key string, sourceID int64, v tracestore.Verdict) 
 	return Emitted{ID: id, Provenance: ProvenanceCached, Key: key, CachedFrom: sourceID, Verdict: v}
 }
 
-// emit buffers one emission and journals its done record.
-func (s *Service) emit(e Emitted, journal bool) {
+// emit journals one emission's done record and hands the emission to the
+// sink, or buffers it when no sink is set. worker is the emitting pool
+// worker (-1 at admission, where admitMu serializes the calls).
+func (s *Service) emit(worker int, e Emitted, ma *crawlerbox.MessageAnalysis, journal bool) {
 	var logErr error
 	if journal {
 		logErr = s.log.AppendDone(e)
 	}
+	if s.o.sink != nil {
+		s.o.sink(worker, e, ma)
+	}
 	s.mu.Lock()
-	s.emitted = append(s.emitted, e)
+	if s.o.sink == nil {
+		s.emitted = append(s.emitted, e)
+	}
 	if logErr != nil && s.emitErr == nil {
 		s.emitErr = logErr
 	}
@@ -441,7 +450,7 @@ func (s *Service) Resume(ctx context.Context, state *LogState) error {
 				}
 			}
 			s.mu.Unlock()
-			s.emit(e, false)
+			s.emit(-1, e, nil, false)
 			continue
 		}
 		if err := s.submitLocked(ctx, spec, true); err != nil {
@@ -461,9 +470,7 @@ func (s *Service) Drain() (*Result, error) {
 	}
 	s.draining = true
 	s.admitMu.Unlock()
-	for _, q := range s.queues {
-		close(q)
-	}
+	close(s.queue)
 	s.wg.Wait()
 	if err := s.log.Close(); err != nil {
 		return nil, err

@@ -3,9 +3,11 @@ package ingest
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"path/filepath"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -72,7 +74,6 @@ func recordLog(t testing.TB, path string, specs []Spec) {
 	}
 }
 
-
 // replayStream replays a log against a fresh world and renders the
 // canonical verdict stream.
 func replayStream(t *testing.T, logPath string, opts ...Option) ([]byte, Counters) {
@@ -98,7 +99,7 @@ func TestReplayDeterminism(t *testing.T) {
 	recordLog(t, logPath, corpusSpecs(c))
 
 	stream1, counters1 := replayStream(t, logPath, WithWorkers(1))
-	stream8, counters8 := replayStream(t, logPath, WithWorkers(8), WithQueueDepth(4))
+	stream8, counters8 := replayStream(t, logPath, WithWorkers(8))
 
 	if !bytes.Equal(stream1, stream8) {
 		t.Fatalf("verdict streams differ between workers 1 and 8 (%d vs %d bytes)",
@@ -251,7 +252,7 @@ func (b *blockingAnalyzer) Release() { b.once.Do(func() { close(b.release) }) }
 func TestAdmissionControl(t *testing.T) {
 	ba := &blockingAnalyzer{release: make(chan struct{})}
 	keyer := func(raw []byte) string { return string(raw) }
-	svc := NewService(ba, keyer, nil, WithWorkers(1), WithQueueDepth(1), WithMaxPending(2))
+	svc := NewService(ba, keyer, nil, WithWorkers(1), WithMaxPending(2))
 	ctx := context.Background()
 	svc.Start(ctx)
 
@@ -312,6 +313,107 @@ func TestWaiterFlush(t *testing.T) {
 	}
 	if res.Emitted[1].CachedFrom != 1 {
 		t.Fatalf("CachedFrom = %d, want 1", res.Emitted[1].CachedFrom)
+	}
+}
+
+// sleepAnalyzer is a test double that yields for a moment and returns an
+// empty analysis, so concurrent sink calls have a window to overlap.
+type sleepAnalyzer struct{}
+
+func (sleepAnalyzer) Analyze(ctx context.Context, spec crawlerbox.MessageSpec) (*crawlerbox.MessageAnalysis, error) {
+	time.Sleep(50 * time.Microsecond)
+	return &crawlerbox.MessageAnalysis{}, nil
+}
+
+// TestSinkDelivery pins the WithSink contract: every fresh emission
+// reaches the sink exactly once with its analysis, cached emissions carry
+// no analysis, calls sharing a worker index never overlap, and the
+// service buffers nothing — Drain's Result.Emitted is empty and Emission
+// reports false.
+func TestSinkDelivery(t *testing.T) {
+	const workers, n = 4, 400
+	var (
+		mu     sync.Mutex
+		seen   = map[int64]int{}
+		fresh  int
+		busy   [workers + 1]atomic.Bool // index worker+1: slot 0 is admission
+		ctx    = context.Background()
+		keyFor = func(i int) string {
+			if i%7 == 0 {
+				return "" // keyless: always fresh
+			}
+			return fmt.Sprintf("k%d", i%50)
+		}
+	)
+	sink := func(w int, e Emitted, ma *crawlerbox.MessageAnalysis) {
+		if w < -1 || w >= workers {
+			t.Errorf("sink worker index %d out of range", w)
+			return
+		}
+		if !busy[w+1].CompareAndSwap(false, true) {
+			t.Errorf("overlapping sink calls for worker %d", w)
+		}
+		time.Sleep(20 * time.Microsecond)
+		mu.Lock()
+		seen[e.ID]++
+		if e.Provenance == ProvenanceFresh {
+			fresh++
+			if ma == nil {
+				t.Errorf("fresh emission %d carries no analysis", e.ID)
+			}
+		} else if ma != nil {
+			t.Errorf("cached emission %d carries an analysis", e.ID)
+		}
+		mu.Unlock()
+		busy[w+1].Store(false)
+	}
+	keyer := func(raw []byte) string { return string(raw) }
+	svc := NewService(sleepAnalyzer{}, keyer, nil, WithWorkers(workers), WithSink(sink))
+	svc.Start(ctx)
+	for i := 1; i <= n; i++ {
+		if err := svc.Submit(ctx, Spec{ID: int64(i), Raw: []byte(keyFor(i))}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	res, err := svc.Drain()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Emitted) != 0 {
+		t.Fatalf("Result.Emitted holds %d emissions with a sink set, want 0", len(res.Emitted))
+	}
+	if _, ok := svc.Emission(1); ok {
+		t.Fatal("Emission reported a verdict with a sink set")
+	}
+	if int64(fresh) != res.Counters.Fresh || res.Counters.CacheHits == 0 {
+		t.Fatalf("sink saw %d fresh emissions, counters %+v", fresh, res.Counters)
+	}
+	for i := int64(1); i <= n; i++ {
+		if seen[i] != 1 {
+			t.Errorf("message %d reached the sink %d times, want 1", i, seen[i])
+		}
+	}
+}
+
+// TestNilKeyerRunsEverything pins batch mode: a nil KeyFunc makes every
+// submission keyless, so identical messages all run fresh and none is
+// served from the cache.
+func TestNilKeyerRunsEverything(t *testing.T) {
+	ctx := context.Background()
+	svc := NewService(sleepAnalyzer{}, nil, nil, WithWorkers(2))
+	svc.Start(ctx)
+	for i := int64(1); i <= 10; i++ {
+		if err := svc.Submit(ctx, Spec{ID: i, Raw: []byte("same")}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	res, err := svc.Drain()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := Counters{Submitted: 10, Fresh: 10, Keyless: 10}
+	if res.Counters != want || len(res.Emitted) != 10 {
+		t.Fatalf("counters = %+v with %d emissions, want %+v with 10", res.Counters, len(res.Emitted), want)
 	}
 }
 

@@ -8,11 +8,11 @@
 //
 // Every aggregate is served from a memoized census index derived from a
 // CensusShard — a commutative partial fold of the analyses. Analyze streams
-// message specs through the worker pool and each worker folds its own
-// shard, so census state is O(domains), not O(corpus); repeated aggregate
-// calls — the paper's workload, where each table and figure re-queries the
-// same analyzed corpus — cost a copy of the precomputed rows instead of a
-// full corpus re-scan.
+// message specs through an ingest.Service in batch mode and each worker
+// folds its own shard, so census state is O(domains), not O(corpus);
+// repeated aggregate calls — the paper's workload, where each table and
+// figure re-queries the same analyzed corpus — cost a copy of the
+// precomputed rows instead of a full corpus re-scan.
 package report
 
 import (
@@ -28,6 +28,7 @@ import (
 	"crawlerbox/internal/dataset"
 	"crawlerbox/internal/evstore"
 	"crawlerbox/internal/htmlx"
+	"crawlerbox/internal/ingest"
 	"crawlerbox/internal/obs"
 	"crawlerbox/internal/resilience"
 	"crawlerbox/internal/stats"
@@ -63,8 +64,6 @@ type options struct {
 	workers      int
 	observer     *obs.Observer
 	resilience   *resilience.Policy
-	evidence     *evstore.Store
-	tracestore   *tracestore.Writer
 	evidencePath string
 	tracePath    string
 }
@@ -123,25 +122,6 @@ func WithTraceStorePath(path string) Option {
 	return func(o *options) { o.tracePath = path }
 }
 
-// WithEvidenceStore spills evidence to a caller-owned store.
-//
-// Deprecated: use WithEvidencePath — Analyze then owns the store's
-// create/close lifecycle. This option remains for callers that must
-// share one store across runs; they keep responsibility for Close.
-func WithEvidenceStore(s *evstore.Store) Option {
-	return func(o *options) { o.evidence = s }
-}
-
-// WithTraceStore persists the triage index into a caller-owned writer.
-//
-// Deprecated: use WithTraceStorePath — Analyze then owns the writer's
-// create/finalize/close lifecycle. This option remains for callers that
-// pre-create the writer; Analyze still finalizes it, the caller defers
-// Close for the abort path.
-func WithTraceStore(w *tracestore.Writer) Option {
-	return func(o *options) { o.tracestore = w }
-}
-
 // Analyze runs the pipeline over the corpus and aggregates the Run. Each
 // message is analyzed at its delivery time plus the paper's two-hour
 // reporting lag, on a private fork of the virtual clock, with a seed stream
@@ -149,13 +129,14 @@ func WithTraceStore(w *tracestore.Writer) Option {
 // every worker count. The context cancels the run; messages not yet analyzed
 // at cancellation are counted in Run.Errors.
 //
-// Messages stream through the bounded worker pool one at a time — the
-// producer renders specs on demand (Corpus.Each) and each worker folds its
-// results into a private CensusShard — so peak memory is O(workers), not
-// O(corpus). For a corpus built by dataset.Stream, Run.Analyses stays nil
-// and every aggregate is served from the merged shard; a corpus built by
-// dataset.Generate additionally retains the analyses for callers that
-// inspect them directly.
+// Messages stream through an ingest.Service in batch mode — no journal, no
+// cache key, a per-worker sink — one at a time: specs render on demand
+// (Corpus.Each), block on the service's bounded queue, and each worker
+// folds its results into a private CensusShard, so peak memory is
+// O(workers), not O(corpus). For a corpus built by dataset.Stream,
+// Run.Analyses stays nil and every aggregate is served from the merged
+// shard; a corpus built by dataset.Generate additionally retains the
+// analyses for callers that inspect them directly.
 //
 // Analyze is the single entry point; concurrency, observability, and fault
 // injection are all opt-in through WithWorkers, WithObserver, and
@@ -165,22 +146,19 @@ func Analyze(ctx context.Context, c *dataset.Corpus, opts ...Option) (*Run, erro
 	for _, o := range opts {
 		o(&op)
 	}
-	workers := op.workers
-	if workers < 1 {
-		workers = 1
-	}
-	// Path-based options: Analyze owns the whole lifecycle of the stores it
-	// creates (the deprecated object-based options leave ownership with the
-	// caller).
-	if op.evidencePath != "" && op.evidence == nil {
+	workers := max(op.workers, 1)
+	// Analyze owns the whole lifecycle of the stores it creates.
+	var evidence *evstore.Store
+	if op.evidencePath != "" {
 		st, err := evstore.Create(op.evidencePath)
 		if err != nil {
 			return nil, fmt.Errorf("report: evidence store: %w", err)
 		}
 		defer st.Close()
-		op.evidence = st
+		evidence = st
 	}
-	if op.tracePath != "" && op.tracestore == nil {
+	var tstore *tracestore.Writer
+	if op.tracePath != "" {
 		w, err := tracestore.Create(op.tracePath)
 		if err != nil {
 			return nil, fmt.Errorf("report: trace store: %w", err)
@@ -188,10 +166,10 @@ func Analyze(ctx context.Context, c *dataset.Corpus, opts ...Option) (*Run, erro
 		// No-op after the Finalize below succeeds; aborts the segment on
 		// every error path.
 		defer w.Close()
-		op.tracestore = w
+		tstore = w
 	}
 	pipe := crawlerbox.New(c.Net, c.Registry)
-	if op.tracestore != nil && op.observer == nil {
+	if tstore != nil && op.observer == nil {
 		// The trace store persists span trees and metrics, so it needs an
 		// observer even when the caller didn't ask for live exports.
 		op.observer = obs.New()
@@ -201,82 +179,81 @@ func Analyze(ctx context.Context, c *dataset.Corpus, opts ...Option) (*Run, erro
 		c.Net.Metrics = op.observer.Metrics
 	}
 	pipe.Resilience = op.resilience
-	if op.evidence != nil {
-		c.Net.SpillTrafficTo(op.evidence)
+	if evidence != nil {
+		c.Net.SpillTrafficTo(evidence)
 	}
 	brands := make([]string, 0, len(c.BrandURLs))
 	for b := range c.BrandURLs {
 		brands = append(brands, b)
 	}
 	sort.Strings(brands)
+	// Brand references are setup against the simulated world, not message
+	// analysis: they complete under a cancelled context too, so a cancelled
+	// run still returns a Run whose Errors count the unanalyzed messages.
+	refCtx := context.WithoutCancel(ctx)
 	for _, b := range brands {
-		if err := pipe.AddReference(ctx, b, c.BrandURLs[b]); err != nil {
+		if err := pipe.AddReference(refCtx, b, c.BrandURLs[b]); err != nil {
 			return nil, fmt.Errorf("report: reference %s: %w", b, err)
 		}
 	}
 
 	run := &Run{Corpus: c}
 	retain := !c.Streamed()
-	var analyses []*crawlerbox.MessageAnalysis
 	if retain {
-		analyses = make([]*crawlerbox.MessageAnalysis, c.Len())
+		run.Analyses = make([]*crawlerbox.MessageAnalysis, c.Len())
 	}
 
-	// The producer streams specs into the bounded channel, folding the
-	// monthly series as plans flow past; each worker folds its own shard.
+	// The submit loop folds the monthly series as messages flow past; each
+	// worker folds its own shard. With no keyer every emission is fresh and
+	// comes from a pool worker, so w indexes the per-worker state.
 	msgShard := NewCensusShard()
 	shards := make([]*CensusShard, workers)
 	errCounts := make([]int, workers)
 	for i := range shards {
 		shards[i] = NewCensusShard()
 	}
-	produced := 0
-	specs := make(chan crawlerbox.IndexedSpec, workers)
-	go func() {
-		defer close(specs)
-		c.Each(func(i int, m *dataset.Message) bool {
-			msgShard.AddMessage(m)
-			select {
-			case specs <- crawlerbox.IndexedSpec{Index: i, Spec: crawlerbox.MessageSpec{
-				Raw: m.Raw,
-				ID:  int64(i + 1),
-				At:  m.Delivered.Add(2 * time.Hour),
-			}}:
-				produced++
-				return true
-			case <-ctx.Done():
-				return false
+	svc := ingest.NewService(pipe, nil, nil, ingest.WithWorkers(workers),
+		ingest.WithSink(func(w int, e ingest.Emitted, ma *crawlerbox.MessageAnalysis) {
+			// Verdict rows are buffered in completion order and sorted by
+			// trace ID at Finalize, so the segment stays schedule-independent.
+			if ma == nil {
+				errCounts[w]++
+				tstore.Add(e.Verdict)
+				return
 			}
-		})
-	}()
-	pipe.AnalyzeStream(ctx, specs, workers, func(w int, res crawlerbox.CorpusResult) {
-		if res.Err != nil {
-			errCounts[w]++
-			op.tracestore.Add(tracestore.VerdictOf(int64(res.Index+1), nil, res.Err))
-			return
-		}
-		shards[w].AddAnalysis(res.Index, res.Analysis)
-		// Verdict rows are buffered in completion order and sorted by trace
-		// ID at Finalize, so the segment stays schedule-independent.
-		op.tracestore.Add(tracestore.VerdictOf(int64(res.Index+1), res.Analysis, nil))
-		if op.evidence != nil {
+			idx := int(e.ID - 1)
+			shards[w].AddAnalysis(idx, ma)
+			tstore.Add(e.Verdict)
 			// Spill AFTER the shard fold: hot-load detection and landing
 			// titles read the visit records the spill strips.
-			if err := crawlerbox.SpillEvidence(op.evidence, res.Analysis); err != nil {
+			if err := crawlerbox.SpillEvidence(evidence, ma); err != nil {
 				errCounts[w]++
 			}
+			if retain {
+				run.Analyses[idx] = ma
+			}
+		}))
+	svc.Start(ctx)
+	submitted := 0
+	c.Each(func(i int, m *dataset.Message) bool {
+		msgShard.AddMessage(m)
+		// With no journal and no admission limit, Submit fails only on
+		// cancellation; the messages never submitted count as errors below.
+		spec := ingest.Spec{ID: int64(i + 1), At: m.Delivered.Add(2 * time.Hour), Raw: m.Raw}
+		if ctx.Err() != nil || svc.Submit(ctx, spec) != nil {
+			return false
 		}
-		if retain {
-			analyses[res.Index] = res.Analysis
-		}
+		submitted++
+		return true
 	})
-	// AnalyzeStream has returned, so the producer has exited and the
-	// per-worker state is quiescent.
+	if _, err := svc.Drain(); err != nil {
+		return nil, fmt.Errorf("report: %w", err)
+	}
+	// Drain has returned, so the per-worker state is quiescent.
 	for _, n := range errCounts {
 		run.Errors += n
 	}
-	// Messages the cancelled producer never sent still count as errors.
-	run.Errors += c.Len() - produced
+	run.Errors += c.Len() - submitted
 
 	// Merge order is pinned by each shard's smallest message index; Merge
 	// is commutative, so this is a determinism belt-and-suspenders, not a
@@ -295,11 +272,8 @@ func Analyze(ctx context.Context, c *dataset.Corpus, opts ...Option) (*Run, erro
 		msgShard.Merge(s)
 	}
 	run.shard = msgShard
-	if retain {
-		run.Analyses = analyses
-	}
-	if op.tracestore != nil {
-		if err := op.tracestore.Finalize(op.observer.Traces(), op.observer.Metrics.Snapshot()); err != nil {
+	if tstore != nil {
+		if err := tstore.Finalize(op.observer.Traces(), op.observer.Metrics.Snapshot()); err != nil {
 			return nil, fmt.Errorf("report: trace store: %w", err)
 		}
 	}

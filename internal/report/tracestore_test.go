@@ -22,24 +22,21 @@ func faultyPolicy() *resilience.Policy {
 }
 
 // writeStore analyzes the seeded corpus with the given worker count and
-// persists the triage index, returning the segment path.
-func writeStore(t *testing.T, dir string, workers int) string {
+// persists the triage index, returning the segment path. Extra options
+// ride along (an evidence path, say).
+func writeStore(t *testing.T, dir string, workers int, opts ...Option) string {
 	t.Helper()
 	path := filepath.Join(dir, "run.tstore")
 	c, err := dataset.Stream(dataset.Config{Seed: 42, Scale: 0.1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	w, err := tracestore.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer w.Close()
-	if _, err := Analyze(context.Background(), c,
+	opts = append([]Option{
 		WithWorkers(workers),
 		WithResilience(faultyPolicy()),
-		WithTraceStore(w),
-	); err != nil {
+		WithTraceStorePath(path),
+	}, opts...)
+	if _, err := Analyze(context.Background(), c, opts...); err != nil {
 		t.Fatal(err)
 	}
 	return path
@@ -158,39 +155,25 @@ func TestReadjudicationEquivalence(t *testing.T) {
 	}
 }
 
-// TestPathOptionsEquivalence pins the api redesign: the path-based options
-// (lifecycle owned by Analyze) produce byte-identical artifacts to the
-// deprecated caller-owned-object options.
+// TestPathOptionsEquivalence pins that the evidence path changes where
+// bulky evidence lives, never the triage index: a run with both path
+// options writes the same segment bytes as a run with the trace store
+// alone, even though the spill strips each analysis's visit records after
+// its verdict row is taken.
 func TestPathOptionsEquivalence(t *testing.T) {
+	plain, err := os.ReadFile(writeStore(t, t.TempDir(), 4))
+	if err != nil {
+		t.Fatal(err)
+	}
 	dir := t.TempDir()
-	legacyPath := writeStore(t, dir, 4) // deprecated WithTraceStore
-
-	c, err := dataset.Stream(dataset.Config{Seed: 42, Scale: 0.1})
+	evPath := filepath.Join(dir, "run.evidence")
+	spilled, err := os.ReadFile(writeStore(t, dir, 4, WithEvidencePath(evPath)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	pathStore := filepath.Join(dir, "bypath.tstore")
-	evPath := filepath.Join(dir, "bypath.evidence")
-	if _, err := Analyze(context.Background(), c,
-		WithWorkers(4),
-		WithResilience(faultyPolicy()),
-		WithTraceStorePath(pathStore),
-		WithEvidencePath(evPath),
-	); err != nil {
-		t.Fatal(err)
-	}
-
-	legacy, err := os.ReadFile(legacyPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	byPath, err := os.ReadFile(pathStore)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(legacy, byPath) {
-		t.Fatalf("path-based trace store diverges from caller-owned writer (%d vs %d bytes)",
-			len(legacy), len(byPath))
+	if !bytes.Equal(plain, spilled) {
+		t.Fatalf("trace store diverges with evidence spill on (%d vs %d bytes)",
+			len(plain), len(spilled))
 	}
 	if fi, err := os.Stat(evPath); err != nil || fi.Size() == 0 {
 		t.Fatalf("evidence store at %s: stat %v, want a non-empty file", evPath, err)
