@@ -13,8 +13,8 @@ import (
 	"crawlerbox/internal/crawler"
 	"crawlerbox/internal/crawlerbox"
 	"crawlerbox/internal/dataset"
-	"crawlerbox/internal/ingest"
 	"crawlerbox/internal/imaging"
+	"crawlerbox/internal/ingest"
 	"crawlerbox/internal/mime"
 	"crawlerbox/internal/phishkit"
 	"crawlerbox/internal/qrcode"

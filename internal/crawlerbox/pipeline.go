@@ -259,17 +259,17 @@ type MessageAnalysis struct {
 	Outcome Outcome
 	// ErrorKind classifies OutcomeError messages as network-dead versus
 	// content-broken (ErrorNone otherwise).
-	ErrorKind   ErrorKind
-	SpearPhish  bool
-	Brand       string
-	Landing     *LandingInfo
-	Cloaks      CloakCensus
+	ErrorKind  ErrorKind
+	SpearPhish bool
+	Brand      string
+	Landing    *LandingInfo
+	Cloaks     CloakCensus
 	// Facts are the per-visit adjudication facts distilled by the Classify
 	// stage — non-nil (possibly empty) exactly when classification ran, nil
 	// for analyses the chain halted earlier (no-resource, download). They
 	// survive evidence spilling, so Adjudicate(Facts) reproduces Outcome
 	// and ErrorKind from storage without the bulky visit records.
-	Facts []VisitFact
+	Facts       []VisitFact
 	HotLoadsRef bool // page hot-loads assets from the impersonated brand
 	AnalyzedAt  time.Time
 	// Evidence addresses this analysis's spilled visit records in an
