@@ -6,7 +6,7 @@ BENCHTIME ?= 0.2s
 BENCHCOUNT ?= 5
 PR ?= 10
 
-.PHONY: check build vet lint lint-sarif lint-test test race bench bench-scale bench-serve benchquick tracecheck triagecheck servecheck batchcheck
+.PHONY: check build fmtcheck vet lint lint-sarif lint-test test race bench bench-scale bench-serve benchquick tracecheck triagecheck servecheck batchcheck
 
 # check is the repository's quality gate (DESIGN.md §7): compile, vet, the
 # cblint invariant linter in baseline and SARIF modes plus its own test
@@ -16,11 +16,15 @@ PR ?= 10
 # of the pipeline-throughput benchmarks (serial + worker pool), the trace
 # golden check (DESIGN.md §10), the triage-index golden gate (DESIGN.md
 # §14), the ingest replay-determinism gate (DESIGN.md §15), and the batch
-# stdout golden gate.
-check: build vet lint lint-sarif lint-test test race benchquick tracecheck triagecheck servecheck batchcheck
+# stdout golden gate. fmtcheck fails when gofmt would reformat any file.
+check: build fmtcheck vet lint lint-sarif lint-test test race benchquick tracecheck triagecheck servecheck batchcheck
 
 build:
 	$(GO) build ./...
+
+# fmtcheck lists every Go file gofmt would change and fails if there is any.
+fmtcheck:
+	@out=$$(gofmt -l .) && test -z "$$out" || { echo "gofmt needed on:"; echo "$$out"; exit 1; }
 
 vet:
 	$(GO) vet ./...

@@ -15,6 +15,7 @@ import (
 	"io"
 	"regexp"
 	"strings"
+	"unicode/utf8"
 
 	"crawlerbox/internal/imaging"
 	"crawlerbox/internal/mime"
@@ -121,8 +122,9 @@ func (p *Pipeline) parsePart(part *mime.Part, res *ParseResult, seen map[string]
 			})
 			return
 		}
-		addURLs(res, seen, extractFromHTML(string(part.Body)), SourceHTML)
-		res.OTPCodes = append(res.OTPCodes, findOTPCodes(string(part.Body))...)
+		html := string(part.Body)
+		addURLs(res, seen, extractFromHTML(html), SourceHTML)
+		res.OTPCodes = append(res.OTPCodes, findOTPCodes(html)...)
 	case strings.HasPrefix(part.ContentType, "image/"):
 		p.parseImage(part.Body, res, seen, SourceImageQR, SourceImageOCR)
 	case part.ContentType == "application/pdf":
@@ -335,9 +337,60 @@ var _otpRe = regexp.MustCompile(`(?i)(?:access code|one.time|security code|otp)[
 
 // findOTPCodes recovers 6-digit access codes mentioned near OTP phrasing.
 func findOTPCodes(text string) []string {
+	if !mayHoldOTP(text) {
+		return nil
+	}
 	var out []string
 	for _, m := range _otpRe.FindAllStringSubmatch(text, -1) {
 		out = append(out, m[1])
 	}
 	return out
+}
+
+// mayHoldOTP is an exact, allocation-free prefilter for _otpRe: in ASCII
+// text a match needs one of the anchors (ASCII case-insensitively) and a
+// run of six digits. Non-ASCII text always goes to the regexp, because (?i)
+// also folds non-ASCII runes into the anchors (U+017F into "s", U+212A into
+// "k") and "." matches a multi-byte rune.
+func mayHoldOTP(text string) bool {
+	run, digits := 0, false
+	for i := 0; i < len(text); i++ {
+		c := text[i]
+		if c >= utf8.RuneSelf {
+			return true
+		}
+		if c >= '0' && c <= '9' {
+			run++
+			digits = digits || run >= 6
+		} else {
+			run = 0
+		}
+	}
+	if !digits {
+		return false
+	}
+	for i := 0; i < len(text); i++ {
+		switch text[i] | 0x20 {
+		case 'o':
+			if hasPrefixFold(text[i:], "otp") ||
+				(hasPrefixFold(text[i:], "one") && len(text) >= i+8 && text[i+3] != '\n' && hasPrefixFold(text[i+4:], "time")) {
+				return true
+			}
+		case 'a':
+			if hasPrefixFold(text[i:], "access code") {
+				return true
+			}
+		case 's':
+			if hasPrefixFold(text[i:], "security code") {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// hasPrefixFold reports whether s starts with prefix, ignoring case. Its
+// callers pass ASCII text, where EqualFold is plain ASCII case folding.
+func hasPrefixFold(s, prefix string) bool {
+	return len(s) >= len(prefix) && strings.EqualFold(s[:len(prefix)], prefix)
 }

@@ -55,7 +55,9 @@ type Analyzer interface {
 // KeyFunc derives the verdict-cache key from raw message bytes. An empty
 // key marks the message uncacheable (no URL): it always runs fresh. A nil
 // KeyFunc makes every message keyless — the batch mode, which analyzes
-// every message and skips the admission-time parse.
+// every message and skips the admission-time parse. The service calls it
+// outside its admission lock, from every submitting goroutine at once, so
+// it must be a pure function of raw that is safe for concurrent use.
 type KeyFunc func(raw []byte) string
 
 // PipelineKeyer derives the cache key with the pipeline's own parse phase:
@@ -274,28 +276,47 @@ func (s *Service) Start(ctx context.Context) {
 // Submit admits one reported message: journal, admission control, cache
 // consult, then either an immediate cached emission or a queued fresh
 // analysis. Submissions are totally ordered; a full queue blocks
-// (backpressure) until a worker frees a slot or ctx is cancelled.
+// (backpressure) until a worker frees a slot or ctx is cancelled. The
+// cache key is derived before the admission lock is taken, so concurrent
+// submitters key in parallel.
 func (s *Service) Submit(ctx context.Context, spec Spec) error {
+	key := s.key(spec.Raw)
 	s.admitMu.Lock()
 	defer s.admitMu.Unlock()
-	return s.submitLocked(ctx, spec, false)
+	return s.submitLocked(ctx, spec, key, false)
 }
 
-// SubmitBatch admits specs in order, stopping at the first error.
+// SubmitBatch admits specs in order, stopping at the first error. Like
+// Submit, it keys the whole batch before taking the admission lock.
 func (s *Service) SubmitBatch(ctx context.Context, specs []Spec) error {
+	keys := make([]string, len(specs))
+	for i := range specs {
+		keys[i] = s.key(specs[i].Raw)
+	}
 	s.admitMu.Lock()
 	defer s.admitMu.Unlock()
-	for _, spec := range specs {
-		if err := s.submitLocked(ctx, spec, false); err != nil {
+	for i, spec := range specs {
+		if err := s.submitLocked(ctx, spec, keys[i], false); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// submitLocked is the admission path; callers hold admitMu. resumed marks
-// specs re-admitted from a recovered journal, which are not re-journaled.
-func (s *Service) submitLocked(ctx context.Context, spec Spec, resumed bool) error {
+// key derives the verdict-cache key of raw ("" without a keyer). A KeyFunc
+// is a pure function of the raw bytes, so it needs no lock: only the
+// hit/miss decision, made under admitMu, depends on submission order.
+func (s *Service) key(raw []byte) string {
+	if s.keyer == nil {
+		return ""
+	}
+	return s.keyer(raw)
+}
+
+// submitLocked is the admission path; callers hold admitMu. key is the
+// spec's cache key; resumed marks specs re-admitted from a recovered
+// journal, which are not re-journaled.
+func (s *Service) submitLocked(ctx context.Context, spec Spec, key string, resumed bool) error {
 	if !s.started {
 		return errors.New("ingest: service not started")
 	}
@@ -316,10 +337,6 @@ func (s *Service) submitLocked(ctx context.Context, spec Spec, resumed bool) err
 		}
 	}
 
-	var key string
-	if s.keyer != nil {
-		key = s.keyer(spec.Raw)
-	}
 	if key == "" || s.cache == nil {
 		s.mu.Lock()
 		if key == "" {
@@ -453,7 +470,7 @@ func (s *Service) Resume(ctx context.Context, state *LogState) error {
 			s.emit(-1, e, nil, false)
 			continue
 		}
-		if err := s.submitLocked(ctx, spec, true); err != nil {
+		if err := s.submitLocked(ctx, spec, s.key(spec.Raw), true); err != nil {
 			return err
 		}
 	}

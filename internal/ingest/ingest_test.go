@@ -417,6 +417,61 @@ func TestNilKeyerRunsEverything(t *testing.T) {
 	}
 }
 
+// TestKeyingOutsideAdmissionLock pins that cache keys are derived before
+// admission serializes submitters: while one submitter's KeyFunc is
+// blocked, another goroutine's Submit and SubmitBatch still complete, and
+// hit/miss is decided in the order submissions reach the lock.
+func TestKeyingOutsideAdmissionLock(t *testing.T) {
+	ctx := context.Background()
+	entered, release := make(chan struct{}), make(chan struct{})
+	keyer := func(raw []byte) string {
+		if string(raw) == "slow" {
+			close(entered)
+			<-release
+		}
+		return "https://k.example/"
+	}
+	svc := NewService(sleepAnalyzer{}, keyer, nil, WithWorkers(2))
+	svc.Start(ctx)
+	slowDone := make(chan error, 1)
+	go func() { slowDone <- svc.Submit(ctx, Spec{ID: 3, Raw: []byte("slow")}) }()
+	<-entered
+
+	fastDone := make(chan error, 1)
+	go func() {
+		if err := svc.Submit(ctx, Spec{ID: 1, Raw: []byte("fast")}); err != nil {
+			fastDone <- err
+			return
+		}
+		fastDone <- svc.SubmitBatch(ctx, []Spec{{ID: 2, Raw: []byte("batch")}})
+	}()
+	select {
+	case err := <-fastDone:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Submit blocked behind another submitter's KeyFunc")
+	}
+	close(release)
+	if err := <-slowDone; err != nil {
+		t.Fatal(err)
+	}
+	res, err := svc.Drain()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := Counters{Submitted: 3, Fresh: 1, CacheHits: 2}
+	if res.Counters != want {
+		t.Fatalf("counters = %+v, want %+v", res.Counters, want)
+	}
+	for _, e := range res.Emitted {
+		if fresh := e.Provenance == ProvenanceFresh; fresh != (e.ID == 1) {
+			t.Errorf("message %d: provenance %s; only message 1, admitted first, runs fresh", e.ID, e.Provenance)
+		}
+	}
+}
+
 // TestLogRoundTrip pins the journal codec: specs and done records read
 // back exactly, and appending to a reopened log continues it.
 func TestLogRoundTrip(t *testing.T) {

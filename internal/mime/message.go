@@ -43,7 +43,10 @@ type Part struct {
 	Disposition string
 	// Filename is the decoded attachment filename, if any.
 	Filename string
-	// Body is the transfer-decoded content for leaf parts.
+	// Body is the transfer-decoded content for leaf parts. It may alias
+	// the raw message passed to Parse (for 7bit, 8bit and binary parts),
+	// which other goroutines may be parsing at the same time: treat it as
+	// read-only and copy it before modifying it.
 	Body []byte
 	// Children are the sub-parts of multipart/* and message/rfc822 parts.
 	Children []*Part
@@ -130,24 +133,28 @@ func parseEntity(raw []byte, depth int) (*Part, error) {
 }
 
 // splitHeaderBody separates the header block from the body and parses
-// headers with unfolding.
+// headers with unfolding. It never writes to raw: the body it returns is a
+// capacity-clipped sub-slice of raw unless raw holds a lone LF.
 func splitHeaderBody(raw []byte) (textproto.MIMEHeader, []byte, error) {
 	// Normalize bare LF to CRLF for the textproto reader.
 	normalized := normalizeCRLF(raw)
-	idx := bytes.Index(normalized, []byte("\r\n\r\n"))
-	var headerBytes, body []byte
-	if idx < 0 {
-		// Header-only entity (empty body) is legal.
-		headerBytes = normalized
-		body = nil
+	var block, body []byte
+	if idx := bytes.Index(normalized, []byte("\r\n\r\n")); idx >= 0 {
+		// The header lines plus the blank line that ends them.
+		block = normalized[:idx+4]
+		body = normalized[idx+4 : len(normalized) : len(normalized)]
+		if len(bytes.TrimSpace(block[:idx+2])) == 0 {
+			return nil, nil, ErrNoHeaders
+		}
 	} else {
-		headerBytes = normalized[:idx+2]
-		body = normalized[idx+4:]
+		// Header-only entity (empty body) is legal. The terminating blank
+		// line is appended to a copy, since raw may be shared.
+		if len(bytes.TrimSpace(normalized)) == 0 {
+			return nil, nil, ErrNoHeaders
+		}
+		block = append(normalized[:len(normalized):len(normalized)], '\r', '\n')
 	}
-	if len(bytes.TrimSpace(headerBytes)) == 0 {
-		return nil, nil, ErrNoHeaders
-	}
-	r := textproto.NewReader(bufio.NewReader(bytes.NewReader(append(headerBytes, '\r', '\n'))))
+	r := textproto.NewReader(bufio.NewReaderSize(bytes.NewReader(block), len(block)))
 	header, err := r.ReadMIMEHeader()
 	if err != nil && !errors.Is(err, io.EOF) {
 		return nil, nil, fmt.Errorf("mime: parsing headers: %w", err)
@@ -155,58 +162,78 @@ func splitHeaderBody(raw []byte) (textproto.MIMEHeader, []byte, error) {
 	return header, body, nil
 }
 
+// normalizeCRLF replaces every lone LF with CRLF. Input that has none, the
+// common case, is returned as is.
 func normalizeCRLF(raw []byte) []byte {
-	if !bytes.Contains(raw, []byte("\n")) {
-		return raw
-	}
-	// Replace lone LF with CRLF.
-	var out bytes.Buffer
-	out.Grow(len(raw) + len(raw)/20)
-	for i := 0; i < len(raw); i++ {
-		if raw[i] == '\n' && (i == 0 || raw[i-1] != '\r') {
-			out.WriteByte('\r')
-		}
-		out.WriteByte(raw[i])
-	}
-	return out.Bytes()
-}
-
-// splitMultipart splits a multipart body into its raw part chunks.
-func splitMultipart(body []byte, boundary string) ([][]byte, error) {
-	delim := []byte("--" + boundary)
-	var chunks [][]byte
-	lines := bytes.Split(body, []byte("\r\n"))
-	var current []byte
-	inPart := false
-	closed := false
-	for _, line := range lines {
-		trimmed := bytes.TrimRight(line, " \t")
-		switch {
-		case bytes.Equal(trimmed, delim):
-			if inPart {
-				chunks = append(chunks, trimTrailingCRLF(current))
-			}
-			current = nil
-			inPart = true
-		case bytes.Equal(trimmed, append(append([]byte{}, delim...), '-', '-')):
-			if inPart {
-				chunks = append(chunks, trimTrailingCRLF(current))
-			}
-			inPart = false
-			closed = true
-		default:
-			if inPart {
-				current = append(current, line...)
-				current = append(current, '\r', '\n')
-			}
-		}
-		if closed {
+	var out []byte
+	rest := raw
+	for {
+		line, after, found := bytes.Cut(rest, []byte("\n"))
+		if !found {
 			break
 		}
+		lone := len(line) == 0 || line[len(line)-1] != '\r'
+		if lone && out == nil {
+			// The first lone LF: copy everything before it.
+			out = make([]byte, 0, len(raw)+len(raw)/20)
+			out = append(out, raw[:len(raw)-len(rest)]...)
+		}
+		if out != nil {
+			out = append(out, line...)
+			if lone {
+				out = append(out, '\r')
+			}
+			out = append(out, '\n')
+		}
+		rest = after
 	}
-	if !closed && inPart {
+	if out == nil {
+		return raw
+	}
+	return append(out, rest...)
+}
+
+// splitMultipart splits a multipart body into its raw part chunks: the
+// lines between one delimiter line and the next, without the CRLF that
+// precedes the delimiter. A delimiter line is "--boundary" or
+// "--boundary--" at the start of a line, optionally followed by spaces or
+// tabs. Chunks are capacity-clipped sub-slices of body.
+func splitMultipart(body []byte, boundary string) ([][]byte, error) {
+	closing := []byte("--" + boundary + "--")
+	delim := closing[:len(closing)-2]
+	var chunks [][]byte
+	start := -1 // offset of the current part's first line; -1 outside a part
+	for pos := 0; pos < len(body); {
+		i := bytes.Index(body[pos:], delim)
+		if i < 0 {
+			break
+		}
+		i += pos
+		line, next := body[i:], len(body)+1
+		if j := bytes.Index(line, []byte("\r\n")); j >= 0 {
+			line, next = line[:j], i+j+2
+		}
+		pos = next
+		if i > 0 && (i < 2 || body[i-2] != '\r' || body[i-1] != '\n') {
+			continue // not at the start of a line
+		}
+		trimmed := bytes.TrimRight(line, " \t")
+		isDelim := bytes.Equal(trimmed, delim)
+		if !isDelim && !bytes.Equal(trimmed, closing) {
+			continue
+		}
+		if start >= 0 {
+			chunks = append(chunks, partChunk(body, start, i))
+		}
+		if !isDelim {
+			start = -1
+			break
+		}
+		start = next
+	}
+	if start >= 0 {
 		// Tolerate a missing closing delimiter (seen in real phishing mail).
-		chunks = append(chunks, trimTrailingCRLF(current))
+		chunks = append(chunks, partChunk(body, start, len(body)+2))
 	}
 	if len(chunks) == 0 {
 		return nil, fmt.Errorf("mime: no parts found for boundary %q", boundary)
@@ -214,8 +241,14 @@ func splitMultipart(body []byte, boundary string) ([][]byte, error) {
 	return chunks, nil
 }
 
-func trimTrailingCRLF(b []byte) []byte {
-	return bytes.TrimSuffix(b, []byte("\r\n"))
+// partChunk returns the part whose first line starts at start and whose
+// last line ends two bytes (its CRLF) before end: nil when the part has no
+// lines.
+func partChunk(body []byte, start, end int) []byte {
+	if end-2 < start {
+		return nil
+	}
+	return body[start : end-2 : end-2]
 }
 
 // decodeTransfer decodes a Content-Transfer-Encoding.
@@ -224,9 +257,15 @@ func decodeTransfer(body []byte, encoding string) ([]byte, error) {
 	case "", "7bit", "8bit", "binary":
 		return body, nil
 	case "base64":
-		cleaned := removeWhitespace(body)
-		out := make([]byte, base64.StdEncoding.DecodedLen(len(cleaned)))
-		n, err := base64.StdEncoding.Decode(out, cleaned)
+		// encoding/base64 skips CR and LF itself, so a body is decoded in
+		// place first. The decoder rejects spaces and tabs: on failure the
+		// body is decoded again with all whitespace stripped, which also
+		// reports an error offset that counts base64 characters only.
+		out := make([]byte, base64.StdEncoding.DecodedLen(len(body)))
+		n, err := base64.StdEncoding.Decode(out, body)
+		if err != nil {
+			n, err = base64.StdEncoding.Decode(out, removeWhitespace(body))
+		}
 		if err != nil {
 			return nil, fmt.Errorf("mime: decoding base64 body: %w", err)
 		}
@@ -235,11 +274,14 @@ func decodeTransfer(body []byte, encoding string) ([]byte, error) {
 		}
 		return out[:n], nil
 	case "quoted-printable":
-		out, err := io.ReadAll(quotedprintable.NewReader(bytes.NewReader(body)))
-		if err != nil {
+		// Decoding never lengthens the text, so sizing the buffer for the
+		// body plus ReadFrom's minimum read leaves it one allocation.
+		var out bytes.Buffer
+		out.Grow(len(body) + bytes.MinRead)
+		if _, err := out.ReadFrom(quotedprintable.NewReader(bytes.NewReader(body))); err != nil {
 			return nil, fmt.Errorf("mime: decoding quoted-printable body: %w", err)
 		}
-		return out, nil
+		return out.Bytes(), nil
 	default:
 		return nil, fmt.Errorf("mime: unsupported transfer encoding %q", encoding)
 	}

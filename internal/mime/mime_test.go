@@ -2,7 +2,9 @@ package mime
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 	"time"
@@ -415,5 +417,70 @@ func TestAttachmentBinaryRoundTripProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// Regression: a header-only message without any LF used to get its
+// terminating CRLF appended into the caller's buffer, past len(raw).
+func TestParseLeavesSpareCapacityAlone(t *testing.T) {
+	buf := make([]byte, 0, 64)
+	raw := append(buf, "Subject: hi"...)
+	spare := raw[:cap(raw)]
+	for i := len(raw); i < len(spare); i++ {
+		spare[i] = 0xAA
+	}
+	p, err := Parse(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.Subject() != "hi" {
+		t.Errorf("Subject = %q", p.Subject())
+	}
+	for i := len(raw); i < len(spare); i++ {
+		if spare[i] != 0xAA {
+			t.Fatalf("Parse wrote %q at offset %d, past len(raw) = %d", spare[i], i, len(raw))
+		}
+	}
+}
+
+// TestParseSharedRawConcurrently parses one multipart message from several
+// goroutines at once, as the ingest admission keyer and the analysis
+// workers do with a storm's copies of one report: under -race it pins that
+// Parse only reads its input, and the bytes stay unchanged.
+func TestParseSharedRawConcurrently(t *testing.T) {
+	inner := NewBuilder("evil@phish.ru", "victim@corp.example", "inner", _testDate).
+		Text("visit https://evil-site.com/x").Build()
+	raw := NewBuilder("fwd@corp.example", "soc@corp.example", "FW: shared", _testDate).
+		Text("see attached\r\nline two").
+		HTML(`<a href="https://evil-site.com/login">x</a>`).
+		Attach("application/pdf", "doc.pdf", []byte("%PDF-1.4 fake")).
+		AttachEML("reported.eml", inner).
+		Build()
+	orig := bytes.Clone(raw)
+	want, err := Parse(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 20; i++ {
+				got, err := Parse(raw)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Error("concurrent Parse gave a different tree")
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if !bytes.Equal(raw, orig) {
+		t.Fatal("Parse modified the shared input")
 	}
 }
