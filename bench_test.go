@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -65,115 +66,56 @@ func BenchmarkTable1CrawlerAssessment(b *testing.B) {
 	}
 }
 
-// BenchmarkTable2TLDDistribution regenerates Table II from the analyzed
-// corpus's landing domains.
-func BenchmarkTable2TLDDistribution(b *testing.B) {
+// BenchmarkCensusRender times the report's aggregate path: each iteration
+// merges four per-worker census shards (folded once from the analyzed
+// corpus, round-robin by message index as a four-worker Analyze would),
+// finalizes the census, and makes the seven Render calls that regenerate
+// Table II, Figures 2 and 3, the disposition, spear, non-targeted and
+// cloaking breakdowns. The renders are printed once.
+func BenchmarkCensusRender(b *testing.B) {
 	run := benchRun(b)
-	b.ResetTimer()
-	var rows []urlx.TLDCount
-	for i := 0; i < b.N; i++ {
-		rows = run.Table2()
+	msgShard := report.NewCensusShard()
+	run.Corpus.Each(func(_ int, m *dataset.Message) bool {
+		msgShard.AddMessage(m)
+		return true
+	})
+	shards := make([]*report.CensusShard, 4)
+	for w := range shards {
+		shards[w] = report.NewCensusShard()
 	}
-	b.StopTimer()
-	if len(rows) > 0 {
-		b.Log("\n" + run.RenderTable2())
+	for i, ma := range run.Analyses {
+		shards[i%len(shards)].AddAnalysis(i, ma)
 	}
-}
-
-// BenchmarkFigure2MonthlyVolume regenerates Figure 2: monthly counts, the
-// 2023 baseline comparison, and the paired t-tests.
-func BenchmarkFigure2MonthlyVolume(b *testing.B) {
-	run := benchRun(b)
+	var text string
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := run.Figure2(); err != nil {
-			b.Fatal(err)
+		merged := report.NewCensusShard()
+		merged.Merge(msgShard)
+		for _, s := range shards {
+			merged.Merge(s)
 		}
+		text = renderAll(report.NewRun(run.Corpus, merged))
 	}
 	b.StopTimer()
-	b.Log("\n" + run.RenderFigure2())
+	// The merged shards must give the census Analyze folded itself.
+	if want := renderAll(run); text != want {
+		b.Fatalf("renders from the merged shards differ from the run's:\n%s\nwant:\n%s", text, want)
+	}
+	b.Log("\n" + text)
 }
 
-// BenchmarkFigure3DeploymentTimeline regenerates Figure 3: the
-// registration-to-delivery and certificate-to-delivery histograms.
-func BenchmarkFigure3DeploymentTimeline(b *testing.B) {
-	run := benchRun(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := run.Figure3(); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	b.Log("\n" + run.RenderFigure3())
-}
-
-// BenchmarkDispositionBreakdown regenerates the Section V message
-// disposition table.
-func BenchmarkDispositionBreakdown(b *testing.B) {
-	run := benchRun(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = run.Disposition()
-	}
-	b.StopTimer()
-	b.Log("\n" + run.RenderDisposition())
-}
-
-// BenchmarkSpearPhishClassification regenerates the Section V-A
-// spear-phishing shares (73.3% spear, 29.8% hot-loading).
-func BenchmarkSpearPhishClassification(b *testing.B) {
-	run := benchRun(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = run.Spear()
-	}
-	b.StopTimer()
-	b.Log("\n" + run.RenderSpear())
-}
-
-// BenchmarkDNSQueryVolumes regenerates the Umbrella-style passive-DNS
-// medians for single- vs multi-message landing domains.
-func BenchmarkDNSQueryVolumes(b *testing.B) {
-	run := benchRun(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = run.DNSVolumes()
-	}
-}
-
-// BenchmarkDomainSyntaxAnalysis regenerates the deceptive-syntax census
-// (15.7% of landing domains in the paper).
-func BenchmarkDomainSyntaxAnalysis(b *testing.B) {
-	run := benchRun(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = run.DomainSyntax()
-	}
-}
-
-// BenchmarkCloakingPrevalence regenerates the Section V-C evasion census.
-func BenchmarkCloakingPrevalence(b *testing.B) {
-	run := benchRun(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = run.CloakPrevalence()
-	}
-	b.StopTimer()
-	b.Log("\n" + run.RenderCloaks())
-}
-
-// BenchmarkChallengeServiceShare regenerates the Turnstile (74.4%) and
-// reCAPTCHA (24.8%) shares over credential-harvesting messages.
-func BenchmarkChallengeServiceShare(b *testing.B) {
-	run := benchRun(b)
-	b.ResetTimer()
-	var ts, rc float64
-	for i := 0; i < b.N; i++ {
-		ts, rc = run.TurnstileShare()
-	}
-	b.StopTimer()
-	b.Logf("Turnstile %.1f%% / reCAPTCHA %.1f%% (paper: 74.4%% / 24.8%%)", ts, rc)
+// renderAll makes the seven Render calls cmd/report makes.
+func renderAll(r *report.Run) string {
+	return strings.Join([]string{
+		r.RenderDisposition(),
+		r.RenderFigure2(),
+		r.RenderTable2(),
+		r.RenderFigure3(),
+		r.RenderSpear(),
+		r.RenderNonTargeted(),
+		r.RenderCloaks(),
+	}, "\n")
 }
 
 // BenchmarkPipelineThroughput measures end-to-end message analysis
@@ -290,24 +232,6 @@ func BenchmarkHotLinkedResources(b *testing.B) {
 	}
 	b.StopTimer()
 	b.Logf("hot-load referral requests observed: %d", count)
-}
-
-// BenchmarkNonTargetedBrands regenerates the Section V-B non-targeted brand
-// breakdown from corpus ground truth.
-func BenchmarkNonTargetedBrands(b *testing.B) {
-	run := benchRun(b)
-	b.ResetTimer()
-	var byBrand map[string]int
-	for i := 0; i < b.N; i++ {
-		byBrand = map[string]int{}
-		for _, d := range run.Corpus.Domains {
-			if !d.Spear {
-				byBrand[d.Brand]++
-			}
-		}
-	}
-	b.StopTimer()
-	b.Logf("non-targeted brand domains: %v", byBrand)
 }
 
 // BenchmarkAblationCrawlerChoice compares pipeline effectiveness across

@@ -133,13 +133,14 @@ func run() error {
 	// the messages.
 	lines := make([]string, len(names))
 	spillErrs := make([]error, max(*shared.Workers, 1))
+	spillBufs := make([][]byte, len(spillErrs))
 	svc := ingest.NewService(pipe, nil, nil, ingest.WithWorkers(*shared.Workers),
 		ingest.WithSink(func(w int, e ingest.Emitted, ma *crawlerbox.MessageAnalysis) {
 			i := int(e.ID - 1)
 			tstore.Add(e.Verdict)
 			// The summary line never reads Visits, so spilling first is
 			// safe (verdict facts survive the spill).
-			if err := crawlerbox.SpillEvidence(store, ma); err != nil && spillErrs[w] == nil {
+			if err := crawlerbox.SpillEvidence(store, ma, &spillBufs[w]); err != nil && spillErrs[w] == nil {
 				spillErrs[w] = err
 			}
 			lines[i] = resultLine(names[i], e, ma)

@@ -43,8 +43,13 @@ const evidenceVersion = 1
 // payload. The encoding is varint-framed and self-contained: no field
 // references anything outside the payload, so a record decodes without the
 // run that produced it.
-func EncodeEvidence(visits []VisitRecord) []byte {
-	buf := []byte{evidenceVersion}
+func EncodeEvidence(visits []VisitRecord) []byte { return AppendEvidence(nil, visits) }
+
+// AppendEvidence appends the EncodeEvidence payload of visits to buf and
+// returns the extended slice. Screenshots are encoded straight into buf,
+// so a caller that reuses buf across messages copies each raster once.
+func AppendEvidence(buf []byte, visits []VisitRecord) []byte {
+	buf = append(buf, evidenceVersion)
 	buf = binary.AppendUvarint(buf, uint64(len(visits)))
 	for i := range visits {
 		buf = appendVisit(buf, &visits[i])
@@ -68,11 +73,12 @@ func appendVisit(buf []byte, v *VisitRecord) []byte {
 	buf = appendString(buf, res.FinalURL)
 	buf = binary.AppendUvarint(buf, uint64(res.Status))
 	buf = appendString(buf, res.HTML)
-	var shot []byte
 	if res.Screenshot != nil {
-		shot = imaging.EncodeCBI(res.Screenshot)
+		buf = binary.AppendUvarint(buf, uint64(imaging.CBISize(res.Screenshot)))
+		buf = imaging.AppendCBI(buf, res.Screenshot)
+	} else {
+		buf = binary.AppendUvarint(buf, 0)
 	}
-	buf = appendBytes(buf, shot)
 	buf = appendStrings(buf, res.Console)
 	buf = appendStrings(buf, res.Scripts)
 	buf = appendStrings(buf, res.ScriptErrors)
@@ -148,11 +154,18 @@ func DecodeEvidence(payload []byte) ([]VisitEvidence, error) {
 // still need the visit data (hot-load detection, landing titles) must
 // consume it before spilling. A nil store or an analysis with no visits is
 // a no-op.
-func SpillEvidence(store *evstore.Store, ma *MessageAnalysis) error {
+//
+// scratch is the caller's encode buffer: the payload is built in
+// (*scratch)[:0] and the grown buffer is stored back for the next call.
+// evstore.Append does not retain the payload, so the buffer is free again
+// when SpillEvidence returns. One goroutine at a time may use a scratch
+// buffer; batch callers keep one per worker.
+func SpillEvidence(store *evstore.Store, ma *MessageAnalysis, scratch *[]byte) error {
 	if store == nil || ma == nil || len(ma.Visits) == 0 {
 		return nil
 	}
-	h, err := store.Append(evstore.KindAnalysis, EncodeEvidence(ma.Visits))
+	*scratch = AppendEvidence((*scratch)[:0], ma.Visits)
+	h, err := store.Append(evstore.KindAnalysis, *scratch)
 	if err != nil {
 		return err
 	}
@@ -178,11 +191,6 @@ func LoadEvidence(store *evstore.Store, h evstore.Handle) ([]VisitEvidence, erro
 func appendString(buf []byte, s string) []byte {
 	buf = binary.AppendUvarint(buf, uint64(len(s)))
 	return append(buf, s...)
-}
-
-func appendBytes(buf, b []byte) []byte {
-	buf = binary.AppendUvarint(buf, uint64(len(b)))
-	return append(buf, b...)
 }
 
 func appendStrings(buf []byte, ss []string) []byte {

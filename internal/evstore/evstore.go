@@ -180,6 +180,10 @@ func Open(path string) (*Store, error) {
 // Append writes one record and returns its handle. The record is buffered;
 // it is durable (and readable through At) after Flush or Close.
 //
+// Append does not retain payload: by the time it returns, the bytes have
+// been copied into the store's write buffer or written to the file, so the
+// caller may reuse or overwrite the slice at once.
+//
 //cblint:hotpath
 func (s *Store) Append(kind Kind, payload []byte) (Handle, error) {
 	if len(payload) > MaxRecordSize {

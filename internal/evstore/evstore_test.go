@@ -80,6 +80,39 @@ func TestAppendReadRoundTrip(t *testing.T) {
 	}
 }
 
+// TestAppendDoesNotRetainPayload pins Append's contract that the caller
+// may reuse the payload slice as soon as Append returns: overwriting it
+// before the flush must not change what the store holds. Payloads below
+// and above the write-buffer size take the two write paths.
+func TestAppendDoesNotRetainPayload(t *testing.T) {
+	s, err := Create(filepath.Join(t.TempDir(), "ev.bin"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	for _, size := range []int{100, 70_000} {
+		payload := bytes.Repeat([]byte{0x5A}, size)
+		want := bytes.Clone(payload)
+		h, err := s.Append(KindAnalysis, payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range payload {
+			payload[i] = 0xFF
+		}
+		if err := s.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		_, got, err := s.At(h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%d-byte record changed with the caller's slice", size)
+		}
+	}
+}
+
 func TestZeroHandleInvalid(t *testing.T) {
 	var h Handle
 	if h.Valid() {

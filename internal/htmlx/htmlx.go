@@ -251,16 +251,20 @@ func indexFold(s, needle string) int {
 	return -1
 }
 
-// DecodeEntities decodes the common named and numeric HTML entities.
+// _entityDecoder maps the entities DecodeEntities knows to their text.
+var _entityDecoder = strings.NewReplacer(
+	"&amp;", "&", "&lt;", "<", "&gt;", ">", "&quot;", `"`,
+	"&#39;", "'", "&apos;", "'", "&nbsp;", " ",
+)
+
+// DecodeEntities decodes six named entities (&amp; &lt; &gt; &quot;
+// &apos; &nbsp;) and one numeric entity, &#39;. Other numeric entities
+// such as &#x27; or &#60; are left as they are.
 func DecodeEntities(s string) string {
 	if !strings.ContainsRune(s, '&') {
 		return s
 	}
-	replacer := strings.NewReplacer(
-		"&amp;", "&", "&lt;", "<", "&gt;", ">", "&quot;", `"`,
-		"&#39;", "'", "&apos;", "'", "&nbsp;", " ",
-	)
-	return replacer.Replace(s)
+	return _entityDecoder.Replace(s)
 }
 
 // Walk visits every node depth-first.

@@ -2,6 +2,7 @@ package htmlx
 
 import (
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -264,6 +265,31 @@ func TestRenderPreservesStructure(t *testing.T) {
 	if Find(re, "a")[0].Attr("href") != "https://x.com/p?a=1&b=2" {
 		t.Errorf("attr lost: %q", Find(re, "a")[0].Attr("href"))
 	}
+}
+
+// TestRenderSharedTreeConcurrently renders one escape-heavy tree from 8
+// goroutines: the package-level escapers are shared by every Render call,
+// so under -race this pins that sharing them is safe. Run alone, the
+// goroutines also race to make the escapers' first use.
+func TestRenderSharedTreeConcurrently(t *testing.T) {
+	doc := Parse(`<div title="a &amp; &quot;b&quot; &lt;c&gt;"><p>x &lt; y &amp;&amp; y &gt; z</p>` +
+		`<a href="/q?a=1&amp;b=2">&lt;&amp;&gt;</a><script>if (a < b && c > d) {}</script></div>`)
+	const want = `<div title="a &amp; &quot;b&quot; &lt;c>"><p>x &lt; y &amp;&amp; y &gt; z</p>` +
+		`<a href="/q?a=1&amp;b=2">&lt;&amp;&gt;</a><script>if (a < b && c > d) {}</script></div>`
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 100; i++ {
+				if got := Render(doc); got != want {
+					t.Errorf("concurrent Render = %q, want %q", got, want)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 func TestFindByID(t *testing.T) {

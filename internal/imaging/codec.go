@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 )
 
 // The CBI ("CrawlerBox Image") format is a trivial uncompressed raster
@@ -20,17 +21,26 @@ var CBIMagic = []byte{'C', 'B', 'I', 'M'}
 var ErrNotCBI = errors.New("imaging: not a CBI image")
 
 // EncodeCBI serializes an image to the CBI byte format.
-func EncodeCBI(img *Image) []byte {
-	out := make([]byte, 0, 12+3*len(img.Pix))
-	out = append(out, CBIMagic...)
-	var dims [8]byte
-	binary.BigEndian.PutUint32(dims[0:4], uint32(img.W))
-	binary.BigEndian.PutUint32(dims[4:8], uint32(img.H))
-	out = append(out, dims[:]...)
-	for _, p := range img.Pix {
-		out = append(out, p.R, p.G, p.B)
+func EncodeCBI(img *Image) []byte { return AppendCBI(nil, img) }
+
+// CBISize is the length of img's CBI encoding.
+func CBISize(img *Image) int { return 12 + 3*len(img.Pix) }
+
+// AppendCBI appends img's CBI encoding to dst and returns the extended
+// slice. It grows dst at most once, so an encoder that reuses its buffer
+// writes the pixels without an intermediate copy.
+func AppendCBI(dst []byte, img *Image) []byte {
+	dst = slices.Grow(dst, CBISize(img))
+	dst = append(dst, CBIMagic...)
+	dst = binary.BigEndian.AppendUint32(dst, uint32(img.W))
+	dst = binary.BigEndian.AppendUint32(dst, uint32(img.H))
+	n := len(dst)
+	dst = dst[:n+3*len(img.Pix)]
+	for i, p := range img.Pix {
+		o := n + 3*i
+		dst[o], dst[o+1], dst[o+2] = p.R, p.G, p.B
 	}
-	return out
+	return dst
 }
 
 // DecodeCBI parses CBI bytes back into an image.

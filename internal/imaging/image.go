@@ -46,8 +46,11 @@ func New(w, h int, fill RGB) (*Image, error) {
 		return nil, fmt.Errorf("%w: %dx%d", ErrBadDimensions, w, h)
 	}
 	img := &Image{W: w, H: h, Pix: make([]RGB, w*h)}
-	for i := range img.Pix {
-		img.Pix[i] = fill
+	// Seed one pixel, then double the filled prefix: log2(w*h) copies
+	// instead of one store per pixel.
+	img.Pix[0] = fill
+	for n := 1; n < len(img.Pix); n *= 2 {
+		copy(img.Pix[n:], img.Pix[:n])
 	}
 	return img, nil
 }

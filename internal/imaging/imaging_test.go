@@ -1,6 +1,7 @@
 package imaging
 
 import (
+	"bytes"
 	"math/rand"
 	"strings"
 	"testing"
@@ -24,6 +25,59 @@ func TestNewAndBounds(t *testing.T) {
 		t.Error("out-of-bounds At should return White")
 	}
 	img.Set(100, 100, Black) // must not panic
+}
+
+// TestNewFillsEveryPixel checks the doubling fill on sizes that are and
+// are not powers of two, including the screenshot raster.
+func TestNewFillsEveryPixel(t *testing.T) {
+	fill := RGB{R: 1, G: 2, B: 3}
+	for _, dims := range [][2]int{{1, 1}, {1, 2}, {3, 1}, {4, 4}, {7, 5}, {256, 192}} {
+		img := MustNew(dims[0], dims[1], fill)
+		for i, p := range img.Pix {
+			if p != fill {
+				t.Fatalf("%dx%d: pixel %d is %v, want %v", dims[0], dims[1], i, p, fill)
+			}
+		}
+	}
+}
+
+// TestAppendCBI pins that AppendCBI extends its buffer with exactly the
+// EncodeCBI bytes, leaving the prefix alone, and that they decode back to
+// the image.
+func TestAppendCBI(t *testing.T) {
+	img := MustNew(7, 5, RGB{R: 10, G: 20, B: 30})
+	img.Set(3, 2, RGB{R: 200, G: 100, B: 50})
+	enc := EncodeCBI(img)
+	if len(enc) != CBISize(img) {
+		t.Fatalf("EncodeCBI gives %d bytes, CBISize says %d", len(enc), CBISize(img))
+	}
+	prefix := []byte("evidence")
+	// Spare capacity after the prefix exercises the in-place write.
+	buf := append(make([]byte, 0, 512), prefix...)
+	for _, dst := range [][]byte{prefix, buf} {
+		got := AppendCBI(dst, img)
+		if !bytes.Equal(got[:len(prefix)], []byte("evidence")) || !bytes.Equal(got[len(prefix):], enc) {
+			t.Fatalf("AppendCBI(prefix, img) != prefix + EncodeCBI(img) (cap %d)", cap(dst))
+		}
+	}
+	back, err := DecodeCBI(enc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !back.Equal(img) {
+		t.Error("CBI round trip changed the pixels")
+	}
+}
+
+var _newImage *Image
+
+// BenchmarkImagingNew allocates and fills one screenshot-sized raster
+// (256x192 White, the browser's viewport), as every crawl does.
+func BenchmarkImagingNew(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		_newImage = MustNew(256, 192, White)
+	}
 }
 
 func TestNewRejectsBadDimensions(t *testing.T) {

@@ -30,6 +30,16 @@ const HotpathDirective = "cblint:hotpath"
 //     field): such maps grow one entry per message. Bounded-domain keys
 //     (hosts, outcome labels, cloak kinds) are fine; sanctioned identity-
 //     keyed sites carry an explicit //cblint:ignore with the reason.
+//
+// One rule applies to every function, annotated or not:
+//
+//  4. strings.NewReplacer and the regexp Compile/MustCompile constructors
+//     (and their POSIX forms) must not run inside a function body when
+//     every argument is a constant expression: the result is the same on
+//     every call, yet each call rebuilds it (a byte Replacer compiles a
+//     256-entry table on first use). Hoist such a value to a package-level
+//     var. A pattern built at run time, such as a script's RegExp
+//     argument, is not constant and stays clean.
 type HotAlloc struct{}
 
 // Name implements Analyzer.
@@ -37,7 +47,7 @@ func (HotAlloc) Name() string { return "hotalloc" }
 
 // Doc implements Analyzer.
 func (HotAlloc) Doc() string {
-	return "//cblint:hotpath functions must not allocate proportionally to corpus size (captured-slice appends, Sprintf in loops, identity-keyed map growth)"
+	return "//cblint:hotpath functions must not allocate proportionally to corpus size (captured-slice appends, Sprintf in loops, identity-keyed map growth); no function rebuilds a constant Replacer or regexp per call"
 }
 
 // Applies implements Analyzer: internal production code.
@@ -53,6 +63,7 @@ func (HotAlloc) Check(pkg *Package, _ *Facts) []Diagnostic {
 	}
 	var diags []Diagnostic
 	for _, f := range pkg.Files {
+		diags = append(diags, checkCompileOnce(pkg, f)...)
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
 			if !ok || fd.Body == nil || !isHotpath(fd) {
@@ -62,6 +73,67 @@ func (HotAlloc) Check(pkg *Package, _ *Facts) []Diagnostic {
 		}
 	}
 	return diags
+}
+
+// compileOnceCtors are the rule-4 constructors, by package path.
+var compileOnceCtors = map[string]map[string]bool{
+	"strings": {"NewReplacer": true},
+	"regexp":  {"Compile": true, "MustCompile": true, "CompilePOSIX": true, "MustCompilePOSIX": true},
+}
+
+// checkCompileOnce flags rule-4 constructor calls with all-constant
+// arguments in any function body of the file, function literals included.
+func checkCompileOnce(pkg *Package, f *ast.File) []Diagnostic {
+	var diags []Diagnostic
+	ast.Inspect(f, func(n ast.Node) bool {
+		var body *ast.BlockStmt
+		switch fn := n.(type) {
+		case *ast.FuncDecl:
+			body = fn.Body
+		case *ast.FuncLit:
+			body = fn.Body
+		default:
+			return true
+		}
+		if body == nil {
+			return false
+		}
+		// The inner walk reaches nested function literals itself.
+		ast.Inspect(body, func(m ast.Node) bool {
+			if call, ok := m.(*ast.CallExpr); ok {
+				if name := constCompileCall(pkg, call); name != "" {
+					diags = append(diags, Diagnostic{
+						Analyzer: "hotalloc",
+						Pos:      pkg.Fset.Position(call.Pos()),
+						Message: fmt.Sprintf("%s with constant arguments inside a function rebuilds the same value on every call; hoist it to a package-level var",
+							name),
+					})
+				}
+			}
+			return true
+		})
+		return false
+	})
+	return diags
+}
+
+// constCompileCall returns the qualified name of a rule-4 constructor
+// called with constant arguments only, or "" for any other call.
+func constCompileCall(pkg *Package, call *ast.CallExpr) string {
+	sel, ok := unparen(call.Fun).(*ast.SelectorExpr)
+	if !ok || call.Ellipsis.IsValid() {
+		return ""
+	}
+	fn, ok := pkg.Info.Uses[sel.Sel].(*types.Func)
+	if !ok || fn.Pkg() == nil || !compileOnceCtors[fn.Pkg().Path()][fn.Name()] {
+		return ""
+	}
+	for _, arg := range call.Args {
+		if pkg.Info.Types[arg].Value == nil {
+			return ""
+		}
+	}
+	return fn.Pkg().Name() + "." + fn.Name()
 }
 
 // isHotpath reports whether the function's doc comment carries the

@@ -42,7 +42,9 @@
 //   - hotalloc: a function annotated //cblint:hotpath (the per-message
 //     stream/census/evidence path) must not allocate proportionally to
 //     corpus size — no append into captured slices, no fmt.Sprintf-family
-//     calls in loops, no map growth keyed by per-message identity.
+//     calls in loops, no map growth keyed by per-message identity; and no
+//     function builds a strings.Replacer or regexp from constant arguments
+//     per call (hoist it to a package-level var).
 //
 // Findings are suppressed, one line at a time, with an explicit
 //
@@ -65,7 +67,7 @@ import (
 // baselines, and the facts cache. Bump it whenever an analyzer's findings or
 // the facts format change shape: a version mismatch invalidates cached facts
 // and marks baselines as needing regeneration.
-const Version = "2.0.0"
+const Version = "2.1.0"
 
 // Diagnostic is one finding, positioned for file:line:col reporting.
 type Diagnostic struct {

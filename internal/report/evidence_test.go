@@ -3,6 +3,7 @@ package report
 import (
 	"context"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"crawlerbox/internal/dataset"
@@ -116,5 +117,38 @@ func TestEvidenceStoreStripsVisits(t *testing.T) {
 	}
 	if spilled == 0 {
 		t.Fatal("no analysis spilled evidence")
+	}
+}
+
+// TestAnalyzeBytesBudget holds a serial, spilling Analyze of the seed-42
+// corpus (scale 0.05) to a budget of heap bytes allocated per message,
+// corpus rendering included. Unlike timings, the figure repeats closely
+// from run to run. The budget is the value measured when it was set (253
+// KiB) plus about 10%; with an escaper built per call and each screenshot
+// copied twice into the spill, this run allocated 504 KiB per message.
+func TestAnalyzeBytesBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes allocation counts")
+	}
+	const budgetKiB = 278
+	c, err := dataset.Stream(dataset.Config{Seed: 42, Scale: 0.05})
+	if err != nil {
+		t.Fatal(err)
+	}
+	evPath := filepath.Join(t.TempDir(), "ev.bin")
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	run, err := Analyze(context.Background(), c, WithWorkers(1), WithEvidencePath(evPath))
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if run.Errors != 0 {
+		t.Fatalf("%d analysis errors", run.Errors)
+	}
+	perMsg := float64(after.TotalAlloc-before.TotalAlloc) / 1024 / float64(c.Len())
+	t.Logf("report.Analyze: %.1f KiB allocated per message over %d messages (budget %d KiB)", perMsg, c.Len(), budgetKiB)
+	if perMsg > budgetKiB {
+		t.Errorf("report.Analyze: %.1f KiB/msg exceeds the budget of %d KiB", perMsg, budgetKiB)
 	}
 }

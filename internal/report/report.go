@@ -59,6 +59,13 @@ type Run struct {
 	census     *census
 }
 
+// NewRun returns a Run over c whose aggregates derive from the merged
+// census shard s, the state a streamed Analyze ends in. The census is
+// finalized on the first aggregate call.
+func NewRun(c *dataset.Corpus, s *CensusShard) *Run {
+	return &Run{Corpus: c, shard: s}
+}
+
 // options collects the Analyze configuration assembled by Option values.
 type options struct {
 	workers      int
@@ -209,6 +216,8 @@ func Analyze(ctx context.Context, c *dataset.Corpus, opts ...Option) (*Run, erro
 	msgShard := NewCensusShard()
 	shards := make([]*CensusShard, workers)
 	errCounts := make([]int, workers)
+	// Each worker encodes its spills in its own scratch buffer.
+	spillBufs := make([][]byte, workers)
 	for i := range shards {
 		shards[i] = NewCensusShard()
 	}
@@ -226,7 +235,7 @@ func Analyze(ctx context.Context, c *dataset.Corpus, opts ...Option) (*Run, erro
 			tstore.Add(e.Verdict)
 			// Spill AFTER the shard fold: hot-load detection and landing
 			// titles read the visit records the spill strips.
-			if err := crawlerbox.SpillEvidence(evidence, ma); err != nil {
+			if err := crawlerbox.SpillEvidence(evidence, ma, &spillBufs[w]); err != nil {
 				errCounts[w]++
 			}
 			if retain {
