@@ -6,7 +6,7 @@ BENCHTIME ?= 0.2s
 BENCHCOUNT ?= 5
 PR ?= 10
 
-.PHONY: check build fmtcheck vet lint lint-sarif lint-test test race bench bench-scale bench-serve benchquick tracecheck triagecheck servecheck batchcheck
+.PHONY: check build fmtcheck vet lint lint-sarif lint-test test allocbudget race bench bench-scale bench-serve benchquick tracecheck triagecheck servecheck batchcheck
 
 # check is the repository's quality gate (DESIGN.md §7): compile, vet, the
 # cblint invariant linter in baseline and SARIF modes plus its own test
@@ -17,7 +17,8 @@ PR ?= 10
 # golden check (DESIGN.md §10), the triage-index golden gate (DESIGN.md
 # §14), the ingest replay-determinism gate (DESIGN.md §15), and the batch
 # stdout golden gate. fmtcheck fails when gofmt would reformat any file.
-check: build fmtcheck vet lint lint-sarif lint-test test race benchquick tracecheck triagecheck servecheck batchcheck
+# allocbudget re-runs the allocation budgets on their own, uncached.
+check: build fmtcheck vet lint lint-sarif lint-test test allocbudget race benchquick tracecheck triagecheck servecheck batchcheck
 
 build:
 	$(GO) build ./...
@@ -51,6 +52,13 @@ lint-test:
 
 test:
 	$(GO) test ./...
+
+# allocbudget runs every per-layer allocation budget (DESIGN.md §7):
+# allocs or bytes per page, message or call, measured with the race
+# detector off. Each budget is its measured value plus about 10%, so a lost
+# optimization fails here by name.
+allocbudget:
+	$(GO) test -count=1 -run 'AllocBudget|BytesBudget' ./...
 
 race:
 	$(GO) test -race ./...

@@ -54,8 +54,11 @@ type Browser struct {
 	EventLoopWindow time.Duration
 	// MaxTimerFires bounds event-loop iterations.
 	MaxTimerFires int
-	rng           *rand.Rand
-	cookies       cookieJar
+	// Scripts, when set, memoizes script parses across the browsers that
+	// share it (one per pipeline). Nil parses every script.
+	Scripts *minijs.Cache
+	rng     *rand.Rand
+	cookies cookieJar
 }
 
 // New returns a browser with sensible crawl defaults.
@@ -334,7 +337,11 @@ func (b *Browser) processDocument(ctx context.Context, pageURL, referrer, html s
 func (pg *page) runScript(src, kind string) {
 	pg.scripts = append(pg.scripts, src)
 	pg.interp.AddFuel(pg.br.ScriptFuel)
-	if _, err := pg.interp.Eval(src); err != nil {
+	prog, err := pg.br.Scripts.Parse(src)
+	if err == nil {
+		err = pg.interp.Run(prog)
+	}
+	if err != nil {
 		pg.errors = append(pg.errors, kind+": "+err.Error())
 	}
 	pg.checkNavigation()

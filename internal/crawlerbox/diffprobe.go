@@ -62,6 +62,7 @@ func (p *Pipeline) runDifferentialProbe(ctx context.Context, ex *Execution, url 
 	botProfile.Languages = []string{"en"}
 	botSeed := nextSeed()
 	bot := browser.New(p.Net, botProfile, p.Net.SeededIP(webnet.IPDatacenter, botSeed), botSeed)
+	bot.Scripts = p.scripts
 	if ex != nil {
 		ex.attach(human)
 		ex.attach(bot)

@@ -11,6 +11,7 @@ import (
 	"crawlerbox/internal/dataset"
 	"crawlerbox/internal/evstore"
 	"crawlerbox/internal/htmlx"
+	"crawlerbox/internal/minijs"
 )
 
 // The layer fixtures come from one analysis of the seed-42 corpus (scale
@@ -88,6 +89,68 @@ func BenchmarkHTMLRender(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		_rendered = htmlx.Render(pages[i%len(pages)])
 	}
+}
+
+// corpusScripts returns the source of every script the corpus visits ran
+// on their final pages and frames, repeats included, in analysis order.
+func corpusScripts(tb testing.TB) []string {
+	tb.Helper()
+	var srcs []string
+	for _, vs := range corpusVisits(tb) {
+		for _, v := range vs {
+			if v.Result != nil {
+				srcs = append(srcs, v.Result.Scripts...)
+			}
+		}
+	}
+	if len(srcs) == 0 {
+		tb.Fatal("no corpus visit ran a script")
+	}
+	return srcs
+}
+
+var _prog *minijs.Program
+
+// BenchmarkMinijsParse parses the corpus scripts; ns/op and allocs/op are
+// per script.
+func BenchmarkMinijsParse(b *testing.B) {
+	srcs := corpusScripts(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_prog, _ = minijs.Parse(srcs[i%len(srcs)])
+	}
+}
+
+// BenchmarkScriptRun runs the corpus scripts, each in a new interpreter
+// with the browser's per-script fuel; ns/op and allocs/op are per script.
+// The interpreter has no page environment, so most scripts stop with a
+// ReferenceError at their first DOM access: the figures are the parse plus
+// the interpreter set-up and the script's DOM-free prefix. "fresh" parses
+// every script, as Eval does; "cached" parses through a minijs.Cache that
+// starts empty at each pass over the corpus, as one pipeline's cache does
+// over one run.
+func BenchmarkScriptRun(b *testing.B) {
+	srcs := corpusScripts(b)
+	const fuel = 400_000
+	b.Run("fresh", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			_, _ = minijs.New(fuel).Eval(srcs[i%len(srcs)])
+		}
+	})
+	b.Run("cached", func(b *testing.B) {
+		b.ReportAllocs()
+		var cache *minijs.Cache
+		for i := 0; i < b.N; i++ {
+			if i%len(srcs) == 0 {
+				cache = minijs.NewCache()
+			}
+			if prog, err := cache.Parse(srcs[i%len(srcs)]); err == nil {
+				_ = minijs.New(fuel).Run(prog)
+			}
+		}
+	})
 }
 
 var _encoded []byte

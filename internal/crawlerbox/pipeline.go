@@ -14,6 +14,7 @@ import (
 	"crawlerbox/internal/evstore"
 	"crawlerbox/internal/htmlx"
 	"crawlerbox/internal/imaging"
+	"crawlerbox/internal/minijs"
 	"crawlerbox/internal/obs"
 	"crawlerbox/internal/resilience"
 	"crawlerbox/internal/urlx"
@@ -68,6 +69,10 @@ type Pipeline struct {
 	// merely order-dependent, never a data race; corpus runs derive seeds
 	// from the message ID instead and never touch it.
 	seed atomic.Int64
+	// scripts memoizes script parses for every browser this pipeline makes
+	// (New's NewBrowser and the differential probe's bot): kits reuse the
+	// same scripts across pages, domains and messages.
+	scripts *minijs.Cache
 }
 
 // New returns a pipeline using a NotABot crawler on a mobile egress IP.
@@ -76,12 +81,15 @@ func New(net *webnet.Internet, registry *whois.Registry) *Pipeline {
 		Net:     net,
 		Whois:   registry,
 		Matcher: imaging.DefaultMatcher(),
+		scripts: minijs.NewCache(),
 	}
 	p.NewBrowser = func(seed int64) *browser.Browser {
 		// The egress IP is derived from the seed, not drawn from the shared
 		// allocation counter: a counter hands out addresses in scheduling
 		// order, which perturbs IP-echoing responses across worker counts.
-		return browser.New(net, browser.NotABot(), net.SeededIP(webnet.IPMobile, seed), seed)
+		b := browser.New(net, browser.NotABot(), net.SeededIP(webnet.IPMobile, seed), seed)
+		b.Scripts = p.scripts
+		return b
 	}
 	return p
 }

@@ -185,7 +185,9 @@ func (*newExpr) exprNode()     {}
 func (*memberExpr) exprNode()  {}
 func (*seqExpr) exprNode()     {}
 
-// Program is a parsed script.
+// Program is a parsed script. It is immutable once Parse returns: the
+// interpreter only reads the tree, so a Cache can share one Program among
+// every interpreter that runs the same source.
 type Program struct {
 	stmts []stmt
 }

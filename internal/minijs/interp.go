@@ -96,12 +96,10 @@ func (ip *Interp) Fuel() int64 { return ip.fuel }
 // grant each timer callback its own slice).
 func (ip *Interp) AddFuel(n int64) { ip.fuel += n }
 
-// Run executes a parsed program.
+// Run executes a parsed program. It only reads prog, so one Program may
+// run in many interpreters, concurrently.
 func (ip *Interp) Run(prog *Program) error {
-	_, err := ip.runStmts(prog.stmts, ip.global)
-	if ts, ok := err.(*throwSignal); ok {
-		return fmt.Errorf("minijs: uncaught exception: %s", ts.value.ToString())
-	}
+	_, err := ip.exec(prog)
 	return err
 }
 
@@ -112,6 +110,12 @@ func (ip *Interp) Eval(src string) (Value, error) {
 	if err != nil {
 		return Undefined, err
 	}
+	return ip.exec(prog)
+}
+
+// exec runs prog in the global scope and returns the value of its last
+// expression statement.
+func (ip *Interp) exec(prog *Program) (Value, error) {
 	v, err := ip.runStmts(prog.stmts, ip.global)
 	if ts, ok := err.(*throwSignal); ok {
 		return Undefined, fmt.Errorf("minijs: uncaught exception: %s", ts.value.ToString())
